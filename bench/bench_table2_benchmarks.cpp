@@ -34,7 +34,9 @@ main()
         trace::TraceStats stats = trace::TraceStats::collect(*src);
         std::string input;
         for (size_t i = 0; i < w.input.size(); ++i) {
-            input += (i ? " " : "") + std::to_string(w.input[i]);
+            if (i)
+                input += ' ';
+            input += std::to_string(w.input[i]);
         }
         table.beginRow();
         table.cell(w.name);

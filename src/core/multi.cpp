@@ -28,20 +28,18 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /**
  * The fused pass: one engine per config, fed block-major. The live list
  * holds the indices of engines still consuming; an engine leaves it when
- * it hits its instruction cap or throws. With stopOnEngineError the first
- * engine exception (e.g. CancelledError from a polled token) abandons the
- * pass; without it the exception is parked in the engine's outcome slot
- * and the siblings keep running.
+ * it hits its instruction cap or throws. An engine exception (e.g.
+ * CancelledError from a polled token) is parked in that engine's outcome
+ * slot and the siblings keep running.
  */
 struct FusedPass
 {
     std::vector<std::unique_ptr<Paragraph>> engines;
     std::vector<MultiOutcome> outcomes;
     std::vector<size_t> live;
-    bool stopOnEngineError;
 
-    FusedPass(const std::vector<AnalysisConfig> &configs, bool stop_on_error)
-        : outcomes(configs.size()), stopOnEngineError(stop_on_error)
+    explicit FusedPass(const std::vector<AnalysisConfig> &configs)
+        : outcomes(configs.size())
     {
         engines.reserve(configs.size());
         live.reserve(configs.size());
@@ -67,8 +65,6 @@ struct FusedPass
                 outcomes[i].error = std::current_exception();
                 outcomes[i].engineSeconds += secondsSince(t0);
                 live.erase(live.begin() + k);
-                if (stopOnEngineError)
-                    std::rethrow_exception(outcomes[i].error);
                 continue;
             }
             outcomes[i].engineSeconds += secondsSince(t0);
@@ -97,12 +93,13 @@ struct FusedPass
     }
 };
 
+} // namespace
+
 std::vector<MultiOutcome>
-runFusedBlocks(trace::BlockSource &blocks,
-               const std::vector<AnalysisConfig> &configs,
-               bool stop_on_engine_error)
+analyzeManyGuarded(trace::BlockSource &blocks,
+                   const std::vector<AnalysisConfig> &configs)
 {
-    FusedPass pass(configs, stop_on_engine_error);
+    FusedPass pass(configs);
     double decodeSeconds = 0.0;
     const trace::TraceRecord *block = nullptr;
     while (!pass.live.empty()) {
@@ -120,14 +117,16 @@ runFusedBlocks(trace::BlockSource &blocks,
 }
 
 std::vector<MultiOutcome>
-runFusedSource(trace::TraceSource &src,
-               const std::vector<AnalysisConfig> &configs,
-               bool stop_on_engine_error)
+analyzeManyGuarded(trace::TraceSource &src,
+                   const std::vector<AnalysisConfig> &configs)
 {
+    if (configs.empty())
+        return {};
+
     // When every config has an instruction cap, the pass needs exactly
     // max(cap) records — don't drain the (shared) source past that.
     uint64_t capRecords = 0;
-    bool bounded = !configs.empty();
+    bool bounded = true;
     for (const AnalysisConfig &cfg : configs) {
         if (cfg.maxInstructions == 0)
             bounded = false;
@@ -135,57 +134,20 @@ runFusedSource(trace::TraceSource &src,
             capRecords = cfg.maxInstructions;
     }
 
-    if (configs.empty())
-        return {};
-
     // Pipelined decode: the producer thread unpacks the next block
     // while the engines consume the current one.
     trace::BlockPipeline::Options popt;
     popt.blockRecords = fusedBlockRecords;
     popt.maxRecords = bounded ? capRecords : 0;
     trace::BlockPipeline pipe(src, popt);
-    return runFusedBlocks(pipe, configs, stop_on_engine_error);
-}
-
-} // namespace
-
-std::vector<AnalysisResult>
-analyzeMany(trace::TraceSource &src,
-            const std::vector<AnalysisConfig> &configs)
-{
-    auto start = std::chrono::steady_clock::now();
-    std::vector<MultiOutcome> outcomes =
-        runFusedSource(src, configs, /*stop_on_engine_error=*/true);
-    double seconds = secondsSince(start);
-
-    std::vector<AnalysisResult> results;
-    results.reserve(outcomes.size());
-    for (MultiOutcome &o : outcomes) {
-        o.result.analysisSeconds = seconds; // shared pass
-        results.push_back(std::move(o.result));
-    }
-    return results;
-}
-
-std::vector<MultiOutcome>
-analyzeManyGuarded(trace::TraceSource &src,
-                   const std::vector<AnalysisConfig> &configs)
-{
-    return runFusedSource(src, configs, /*stop_on_engine_error=*/false);
-}
-
-std::vector<MultiOutcome>
-analyzeManyGuarded(trace::BlockSource &blocks,
-                   const std::vector<AnalysisConfig> &configs)
-{
-    return runFusedBlocks(blocks, configs, /*stop_on_engine_error=*/false);
+    return analyzeManyGuarded(pipe, configs);
 }
 
 std::vector<MultiOutcome>
 analyzeManyGuarded(const trace::TraceBuffer &buffer,
                    const std::vector<AnalysisConfig> &configs)
 {
-    FusedPass pass(configs, /*stop_on_error=*/false);
+    FusedPass pass(configs);
     const trace::TraceRecord *data = buffer.records().data();
     const size_t total = buffer.records().size();
     for (size_t off = 0; off < total && !pass.live.empty();

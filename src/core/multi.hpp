@@ -19,11 +19,10 @@
  * thread (trace::BlockPipeline) while the engines consume the current one.
  *
  * Cancellation is honored: each engine's AnalysisConfig::cancel is polled
- * from its bulk loop at the same cadence as Paragraph::processAll, and
- * analyzeMany() propagates the resulting CancelledError (abandoning the
- * pass). analyzeManyGuarded() instead contains any engine's exception to
- * its own slot so sibling configurations still complete — the sweep
- * engine's fused groups are built on it.
+ * from its bulk loop at the same cadence as Paragraph::processAll. Any
+ * engine's exception, the resulting CancelledError included, is contained
+ * to its own outcome slot so sibling configurations still complete — the
+ * sweep scheduler's fused groups are built on that.
  */
 
 #ifndef PARAGRAPH_CORE_MULTI_HPP
@@ -39,23 +38,6 @@
 
 namespace paragraph {
 namespace core {
-
-/**
- * Analyze one trace under several configurations in a single pass.
- *
- * Equivalent to running Paragraph::analyze once per configuration over a
- * reset source (a tested invariant), but the trace is produced only once.
- * Engines that hit their own maxInstructions simply stop consuming; when
- * every config is capped, the source is never drained past the largest cap.
- *
- * Throws on the first engine or source error — including CancelledError
- * when any config's AnalysisConfig::cancel fires — abandoning the pass.
- *
- * @return one AnalysisResult per configuration, in order.
- */
-std::vector<AnalysisResult>
-analyzeMany(trace::TraceSource &src,
-            const std::vector<AnalysisConfig> &configs);
 
 /** Per-config outcome of a guarded fused pass. */
 struct MultiOutcome
@@ -77,10 +59,19 @@ struct MultiOutcome
 };
 
 /**
- * Like analyzeMany(), but an engine's exception is contained to its own
- * MultiOutcome slot: the failing engine is dropped from the pass and every
- * sibling configuration still completes. Source errors (a corrupt trace
- * file, for instance) affect all engines equally and are still thrown.
+ * Analyze one trace under several configurations in a single pass.
+ *
+ * Equivalent to running Paragraph::analyze once per configuration over a
+ * reset source (a tested invariant), but the trace is produced only once.
+ * Engines that hit their own maxInstructions simply stop consuming; when
+ * every config is capped, the source is never drained past the largest cap.
+ *
+ * An engine's exception is contained to its own MultiOutcome slot: the
+ * failing engine is dropped from the pass and every sibling configuration
+ * still completes. Source errors (a corrupt trace file, for instance)
+ * affect all engines equally and are thrown.
+ *
+ * @return one outcome per configuration, in order.
  */
 std::vector<MultiOutcome>
 analyzeManyGuarded(trace::TraceSource &src,

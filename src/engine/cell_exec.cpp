@@ -463,7 +463,7 @@ void
 runFusedCells(TraceRepository &repo,
               const std::vector<SweepCell *> &cells,
               const CellExecOptions &opt,
-              const std::function<void(SweepCell &)> &finish)
+              const std::function<void(size_t)> &finish)
 {
     const std::string &input = cells.front()->job.input;
 
@@ -524,7 +524,7 @@ runFusedCells(TraceRepository &repo,
                     ? static_cast<double>(cell.result.instructions) / 1e6 /
                           cell.wallSeconds
                     : 0.0;
-            finish(cell);
+            finish(k);
             continue;
         }
         if (!groupFailed) {
@@ -537,7 +537,7 @@ runFusedCells(TraceRepository &repo,
                 cell.errorMessage = e.what();
                 cell.result = core::AnalysisResult();
                 cell.attempts = 1;
-                finish(cell);
+                finish(k);
                 continue;
             } catch (const std::exception &) {
                 // Ordinary failure: fall through to the solo re-run (the
@@ -545,7 +545,7 @@ runFusedCells(TraceRepository &repo,
             }
         }
         runCellSolo(repo, cell, opt);
-        finish(cell);
+        finish(k);
     }
 }
 

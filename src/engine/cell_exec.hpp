@@ -1,16 +1,17 @@
 /**
  * @file
- * Cell execution: the fault-isolated solo and fused analysis paths shared
- * by SweepEngine (one-shot grids) and SweepScheduler (the daemon's
- * cross-client submission queue).
+ * Cell execution: the fault-isolated solo and fused analysis paths that
+ * SweepScheduler's workers run for every grid — paragraph-sweep's, the
+ * explorer's and the daemon's alike.
  *
- * These functions own the semantics both callers must agree on exactly —
- * the per-cell attempts loop, per-attempt deadline tokens, the rule that
- * cancellation is final while ordinary failures retry, and the fused-group
- * demotion rule (an engine that throws mid-group re-runs its cell solo
- * without consuming an attempt; a group-level input error demotes every
- * member). Keeping them in one place is what makes a daemon-served cell
- * byte-identical to the same cell from a paragraph-sweep run.
+ * These functions own the per-cell semantics: the attempts loop,
+ * per-attempt deadline tokens, the rule that cancellation is final while
+ * ordinary failures retry, and the fused-group demotion rule (an engine
+ * that throws mid-group re-runs its cell solo without consuming an
+ * attempt; a group-level input error demotes every member). Grouping
+ * changes how many passes a grid takes, never what a cell contains: that
+ * is what makes a daemon-served cell byte-identical to the same cell from
+ * a paragraph-sweep run, at any --jobs or --group.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP
@@ -25,7 +26,7 @@
 namespace paragraph {
 namespace engine {
 
-/** The slice of SweepEngine::Options cell execution depends on. */
+/** Per-cell execution knobs (SweepEngine::Options carries the same). */
 struct CellExecOptions
 {
     /** Re-run a failed cell up to this many extra times (cancelled or
@@ -57,18 +58,22 @@ void runCellSolo(TraceRepository &repo, SweepCell &cell,
 /**
  * Run @p cells — all carrying jobs for the same input — as one block-major
  * fused pass over the shared trace, applying the demotion rule for
- * failures. @p finish is invoked exactly once per cell, after that cell's
- * status is final (in group order). Never throws.
+ * failures. @p finish is invoked exactly once per cell with its position
+ * in @p cells, after that cell's status is final (in group order). Never
+ * throws.
  */
 void runFusedCells(TraceRepository &repo,
                    const std::vector<SweepCell *> &cells,
                    const CellExecOptions &opt,
-                   const std::function<void(SweepCell &)> &finish);
+                   const std::function<void(size_t)> &finish);
 
 /** Rough live-state bytes one engine with this config keeps resident:
- *  base live well + ordering window + profile/lifetime buckets. Used to
- *  clamp fused-group size against a memory budget. */
+ *  base live well + ordering window + profile/lifetime buckets. */
 size_t configFootprint(const core::AnalysisConfig &cfg);
+
+/** Cap on the summed configFootprint() of one fused group; the scheduler
+ *  cuts a group early rather than exceed it. */
+constexpr size_t kGroupMemoryBudget = size_t(1) << 30;
 
 } // namespace engine
 } // namespace paragraph

@@ -226,9 +226,11 @@ class Explorer
 
     /**
      * Measurement backend: run @p jobs and return their cells in job
-     * order. The CLI wraps SweepEngine::runJobs; the daemon wraps its
-     * standing scheduler plus the content-addressed result store (cached
-     * cells come back Skipped with their stored JSON).
+     * order. Both backends run cells on a SweepScheduler: the CLI wraps
+     * SweepEngine::runJobs (a private scheduler per round), the daemon
+     * wraps ServeServer::resolveJobs (its standing scheduler behind the
+     * content-addressed result store; cached cells come back Skipped with
+     * their stored JSON).
      */
     using Runner =
         std::function<std::vector<SweepCell>(std::vector<SweepJob>)>;

@@ -1,22 +1,23 @@
 /**
  * @file
- * SweepEngine: a threaded (trace × config) grid runner.
+ * SweepEngine: a (trace × config) grid runner.
  *
  * The paper's headline experiments are grids — Figure 8 re-extracts the DDG
  * once per window size per benchmark ("approximately 10 hours on a
  * DECstation 3100" per point), Table 4 crosses renaming switches with
  * benchmarks. Each grid cell is one independent core::Paragraph::analyze
- * run. Scheduling is trace-major: pending cells are grouped by input spec
- * into fused groups (at most Options::groupSize configs per group, clamped
- * by Options::groupMemoryBudget), one group is dispatched per worker
- * thread, and a group's cells run in a single block-major pass over the
- * shared trace (core::analyzeManyGuarded) — the trace is walked once per
- * group instead of once per cell. Inputs are captured once into shared
- * immutable buffers (TraceRepository) or, for streaming trace files,
- * decoded per pass on a pipelined background thread. Every core::Paragraph
- * is thread-private, so workers share no mutable analysis state. Results
- * are stored by grid position, making sweep output independent of worker
- * count, grouping, and completion order (a tested invariant).
+ * run. The engine is a thin client of the one execution pool
+ * (engine/scheduler.hpp): it satisfies resumed cells from the journal,
+ * captures every pending input once, serially, into shared immutable
+ * buffers (TraceRepository), then submits the rest of the grid to a
+ * private SweepScheduler with Options::jobs workers and waits. The
+ * scheduler groups cells by input into fused block-major passes
+ * (core::analyzeManyGuarded; Options::groupSize, 0 = auto), gates
+ * concurrent private decoders per streamed input, and runs each cell's
+ * attempts. Every core::Paragraph is thread-private, so workers share no
+ * mutable analysis state. Results are stored by grid position, making
+ * sweep output independent of worker count, grouping, and completion
+ * order (a tested invariant).
  *
  * Cells are fault-isolated: a cell whose capture or analysis throws is
  * recorded as SweepCell::Status::Failed with its error text, and the rest
@@ -141,6 +142,16 @@ struct SweepResult
 };
 
 /**
+ * The input-major grid @p inputs × @p configs as a job list: job
+ * i*configs.size()+j runs inputs[i] under configs[j], labelled labels[j]
+ * (configs[j].describe() where @p labels runs short).
+ */
+std::vector<SweepJob>
+gridJobs(const std::vector<std::string> &inputs,
+         const std::vector<core::AnalysisConfig> &configs,
+         const std::vector<std::string> &labels);
+
+/**
  * Progress observer, called (serialized) after each cell completes:
  * cells done, cells total, aggregate million instructions/sec so far.
  * A throwing observer is disabled after its first throw (with a warning);
@@ -154,7 +165,7 @@ class SweepEngine
   public:
     struct Options
     {
-        /** Worker threads; 0 = std::thread::hardware_concurrency(). */
+        /** Worker threads; 0 = the hardware concurrency. */
         unsigned jobs = 0;
 
         /** Configs fused into one pass over a shared trace. 1 = no fusion
@@ -162,14 +173,8 @@ class SweepEngine
          *  0 = auto, ceil(pending / jobs) so each worker's share of an
          *  input becomes a single pass — except over decode-gated
          *  streamed inputs, where the share is taken over the decoder
-         *  cap instead of the worker count. Always clamped by
-         *  groupMemoryBudget. */
+         *  cap instead of the worker count (SweepScheduler::Options). */
         unsigned groupSize = 1;
-
-        /** Cap on the estimated live analysis state (windows, profiles,
-         *  live wells) resident in one fused group; a group is cut early
-         *  rather than exceed it. */
-        size_t groupMemoryBudget = size_t(1) << 30;
 
         /** Re-run a failed cell up to this many extra times. Cancelled /
          *  deadline-expired attempts are final and never retried. */

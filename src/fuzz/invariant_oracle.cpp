@@ -28,8 +28,8 @@ propertyCatalogue()
     // highestLevel, Ddest + 1), Ldest = issue + latency - 1 (Section 3.2).
     static const std::vector<PropertyInfo> catalogue = {
         {"fused-solo-identity",
-         "analyzeMany shares one trace pass across engines that never "
-         "interact; each must equal its solo analyze() exactly"},
+         "analyzeManyGuarded shares one trace pass across engines that "
+         "never interact; each must equal its solo analyze() exactly"},
         {"stream-bulk-identity",
          "streaming and bulk drives feed the same records to the same "
          "placement rule; results must be identical"},
@@ -387,9 +387,15 @@ InvariantOracle::check(const TraceBuffer &trace) const
         for (const ConfigCell &cell : matrix)
             configs.push_back(cell.cfg);
         trace::BufferSource src(trace);
-        std::vector<AnalysisResult> fused = core::analyzeMany(src, configs);
+        std::vector<core::MultiOutcome> fused =
+            core::analyzeManyGuarded(src, configs);
         for (size_t i = 0; i < matrix.size(); ++i) {
-            if (!detail::resultsEqual(solo[i], fused[i], &diff))
+            if (fused[i].error) {
+                fail("fused-solo-identity",
+                     strFormat("config %s: engine threw in the fused pass",
+                               matrix[i].name));
+            } else if (!detail::resultsEqual(solo[i], fused[i].result,
+                                             &diff))
                 fail("fused-solo-identity",
                      strFormat("config %s: %s", matrix[i].name,
                                diff.c_str()));

@@ -12,7 +12,7 @@
  *
  * The catalogue (names are stable identifiers used in repro JSON and docs):
  *
- *   fused-solo-identity        analyzeMany == one analyze() per config
+ *   fused-solo-identity        analyzeManyGuarded == analyze() per config
  *   stream-bulk-identity       analyze(TraceSource&) == analyze(TraceBuffer&)
  *   determinism                same trace + config twice == identical result
  *   baseline-agreement         CriticalPathAnalyzer cp == Paragraph cp
@@ -38,8 +38,8 @@
  *                              result under EVERY matrix config
  *
  * check() runs one trace through core::Paragraph (solo, streamed, fused via
- * core::analyzeMany) and core::CriticalPathAnalyzer under a fixed config
- * matrix and reports every violated property with a diagnostic.
+ * core::analyzeManyGuarded) and core::CriticalPathAnalyzer under a fixed
+ * config matrix and reports every violated property with a diagnostic.
  */
 
 #ifndef PARAGRAPH_FUZZ_INVARIANT_ORACLE_HPP

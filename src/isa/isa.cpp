@@ -128,7 +128,9 @@ std::string
 fpRegName(uint8_t idx)
 {
     PARA_ASSERT(idx < numFpRegs);
-    return "f" + std::to_string(idx);
+    std::string name = "f";
+    name += std::to_string(idx);
+    return name;
 }
 
 bool

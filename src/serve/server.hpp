@@ -65,7 +65,8 @@ class ServeServer
         /** Analysis worker threads; 0 = hardware concurrency. */
         unsigned jobs = 0;
 
-        /** Cells fused per pass (engine::SweepScheduler::Options). */
+        /** Cells fused per pass; 0 = auto (engine::SweepScheduler::
+         *  Options::groupSize). */
         unsigned groupSize = 8;
 
         /** Retries for ordinarily-failed cells. */
@@ -137,6 +138,17 @@ class ServeServer
     void handleClient(int fd);
     std::string handleRequestLine(const std::string &line, bool &shutdown);
     std::string handleSweep(const ServeRequest &req);
+
+    /**
+     * Run @p jobs through the result store and the scheduler: each job is
+     * resolved by content address (trace CRC + config key + @p profiles);
+     * hits come back Skipped with their stored fragment rebound to the
+     * job's grid coordinates, misses are submitted, and every miss that
+     * finishes Ok is stored as soon as it is final. Cells in job order.
+     */
+    std::vector<engine::SweepCell> resolveJobs(
+        std::vector<engine::SweepJob> jobs, bool profiles);
+
     std::string handleExplore(const ServeRequest &req);
     std::string statsLine();
     std::string healthLine();

@@ -41,10 +41,14 @@ AsciiTable::cell(uint64_t value)
 void
 AsciiTable::cell(int64_t value)
 {
-    if (value < 0)
-        cell("-" + withCommas(static_cast<uint64_t>(-value)));
-    else
+    // Negate in unsigned arithmetic: -value overflows for INT64_MIN.
+    if (value >= 0) {
         cell(withCommas(static_cast<uint64_t>(value)));
+        return;
+    }
+    std::string text = withCommas(0 - static_cast<uint64_t>(value));
+    text.insert(text.begin(), '-');
+    cell(text);
 }
 
 void

@@ -468,9 +468,8 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                             cfg.pipelinedFus = fu.pipelined;
                             cfg.useLastUseEviction = last_use;
                             cfg.profileBins = 65536;
-                            std::string what =
-                                std::string("w") + std::to_string(window) +
-                                " " + rn.name +
+                            std::string what = "w";
+                            what += std::to_string(window) + " " + rn.name +
                                 (stall ? " stall" : " nostall") +
                                 (pred == PredictorKind::Perfect
                                      ? " perfect"
@@ -565,10 +564,12 @@ TEST(HotPathEquivalence, FusedMultiConfigMatchesSoloRuns)
         solo.push_back(Paragraph(cfg).analyze(buffer));
 
     trace::BufferSource src(buffer);
-    std::vector<AnalysisResult> fused = core::analyzeMany(src, configs);
+    std::vector<core::MultiOutcome> fused =
+        core::analyzeManyGuarded(src, configs);
     ASSERT_EQ(solo.size(), fused.size());
     for (size_t i = 0; i < solo.size(); ++i) {
-        expectResultsEqual(solo[i], fused[i],
+        ASSERT_FALSE(fused[i].error) << "config " << i;
+        expectResultsEqual(solo[i], fused[i].result,
                            "fused[" + std::to_string(i) + "]");
     }
 

@@ -1,4 +1,5 @@
-// Tests for core::analyzeMany (single-pass multi-configuration analysis).
+// Tests for core::analyzeManyGuarded (single-pass multi-configuration
+// analysis).
 #include <gtest/gtest.h>
 
 #include "core/cancel_token.hpp"
@@ -87,6 +88,19 @@ randomTraceWithCondBranches(uint64_t seed, size_t length)
     return buf;
 }
 
+/** One fused pass over @p src; every engine must finish without error. */
+std::vector<AnalysisResult>
+fusedResults(trace::TraceSource &src,
+             const std::vector<AnalysisConfig> &configs)
+{
+    std::vector<AnalysisResult> results;
+    for (MultiOutcome &o : analyzeManyGuarded(src, configs)) {
+        EXPECT_FALSE(o.error);
+        results.push_back(std::move(o.result));
+    }
+    return results;
+}
+
 } // namespace
 
 TEST(AnalyzeMany, MatchesIndividualRunsOnRandomTraces)
@@ -100,7 +114,7 @@ TEST(AnalyzeMany, MatchesIndividualRunsOnRandomTraces)
         AnalysisConfig::windowed(1024),
     };
     trace::BufferSource shared(buf);
-    auto together = analyzeMany(shared, configs);
+    auto together = fusedResults(shared, configs);
     ASSERT_EQ(together.size(), configs.size());
 
     for (size_t i = 0; i < configs.size(); ++i) {
@@ -155,7 +169,7 @@ TEST(AnalyzeMany, ByteIdenticalUnderWindowFuAndPredictorCombinations)
     configs.push_back(cappedMix);
 
     trace::BufferSource shared(buf);
-    auto together = analyzeMany(shared, configs);
+    auto together = fusedResults(shared, configs);
     ASSERT_EQ(together.size(), configs.size());
 
     for (size_t i = 0; i < configs.size(); ++i) {
@@ -182,7 +196,7 @@ TEST(AnalyzeMany, PerEngineInstructionCapsAreIndependent)
     AnalysisConfig long_cfg = AnalysisConfig::dataflowConservative();
     long_cfg.maxInstructions = 1000;
     trace::BufferSource src(buf);
-    auto results = analyzeMany(src, {short_cfg, long_cfg});
+    auto results = fusedResults(src, {short_cfg, long_cfg});
     EXPECT_EQ(results[0].instructions, 100u);
     EXPECT_EQ(results[1].instructions, 1000u);
 }
@@ -193,7 +207,7 @@ TEST(AnalyzeMany, StopsReadingWhenAllEnginesAreDone)
     AnalysisConfig cfg = AnalysisConfig::dataflowConservative();
     cfg.maxInstructions = 50;
     trace::BufferSource src(buf);
-    analyzeMany(src, {cfg, cfg});
+    fusedResults(src, {cfg, cfg});
     // The shared source must not have been drained past the caps (plus the
     // one record in flight when every engine reported done).
     trace::TraceRecord rec;
@@ -207,30 +221,15 @@ TEST(AnalyzeMany, EmptyConfigListYieldsNothing)
 {
     TraceBuffer buf = randomTrace(20, 100);
     trace::BufferSource src(buf);
-    EXPECT_TRUE(analyzeMany(src, {}).empty());
-}
-
-TEST(AnalyzeMany, CancelledTokenAbandonsTheFusedPass)
-{
-    // AnalysisConfig::cancel must be honored from inside the fused
-    // block-major loop, not just by solo analyze() — this is what makes
-    // --deadline work for grouped sweep cells.
-    TraceBuffer buf = randomTrace(21, 100000);
-    CancelToken poisoned;
-    poisoned.cancel();
-    AnalysisConfig cancelled = AnalysisConfig::dataflowConservative();
-    cancelled.cancel = &poisoned;
-    AnalysisConfig healthy = AnalysisConfig::dataflowConservative();
-    trace::BufferSource src(buf);
-    EXPECT_THROW(analyzeMany(src, {healthy, cancelled}), CancelledError);
+    EXPECT_TRUE(analyzeManyGuarded(src, {}).empty());
 }
 
 TEST(AnalyzeMany, GuardedPassContainsCancellationToItsOwnSlot)
 {
-    // The guarded variant parks the CancelledError in the cancelled
-    // engine's outcome and lets every sibling run to completion — the
-    // sweep engine's fused groups depend on this to keep one timed-out
-    // cell from voiding its group.
+    // AnalysisConfig::cancel is honored from inside the fused block-major
+    // loop, and the CancelledError is parked in the cancelled engine's
+    // outcome while every sibling runs to completion — fused sweep groups
+    // depend on this to keep one timed-out cell from voiding its group.
     TraceBuffer buf = randomTrace(22, 5000);
     CancelToken poisoned;
     poisoned.cancel();
@@ -258,7 +257,7 @@ TEST(AnalyzeMany, WorkloadWindowSweepMatchesSoloRuns)
     std::vector<AnalysisConfig> configs = {AnalysisConfig::windowed(64),
                                            AnalysisConfig::windowed(4096)};
     auto shared_src = suite.makeSource(w, workloads::Scale::Small);
-    auto together = analyzeMany(*shared_src, configs);
+    auto together = fusedResults(*shared_src, configs);
     for (size_t i = 0; i < configs.size(); ++i) {
         auto solo_src = suite.makeSource(w, workloads::Scale::Small);
         AnalysisResult alone = Paragraph(configs[i]).analyze(*solo_src);

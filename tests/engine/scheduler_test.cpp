@@ -135,7 +135,7 @@ TEST(SweepScheduler, OnCellFiresOncePerCellWithFinalStatus)
          core::AnalysisConfig::windowed(64),
          core::AnalysisConfig::windowed(256)});
     size_t calls = 0; // per-batch callbacks are serialized; no atomics
-    auto batch = scheduler.submit(jobs, [&](SweepCell &cell) {
+    auto batch = scheduler.submit(jobs, [&](size_t, SweepCell &cell) {
         ++calls;
         EXPECT_EQ(cell.status, SweepCell::Status::Ok);
     });
@@ -168,7 +168,7 @@ TEST(SweepScheduler, StopFailsLaterSubmissionsImmediately)
     size_t calls = 0;
     auto batch = scheduler.submit(
         gridJobs({"xlisp"}, {core::AnalysisConfig::windowed(16)}),
-        [&](SweepCell &) { ++calls; });
+        [&](size_t, SweepCell &) { ++calls; });
     batch->wait(); // must not hang: cells are failed synchronously
     ASSERT_EQ(batch->cells().size(), 1u);
     EXPECT_EQ(batch->cells()[0].status, SweepCell::Status::Failed);

@@ -285,6 +285,35 @@ TEST(SweepEngine, AutoGroupKeepsWorkerSharesOnCapturedInputs)
     EXPECT_EQ(sweep.fusedGroups, configs.size());
 }
 
+TEST(SweepEngine, AutoGroupTakesTheWorkerShareOverTheWholeGrid)
+{
+    // The auto target is fixed per submission, ceil(12 cells / 2 jobs) = 6,
+    // which covers each input's 4-config bucket: one pass per input. A
+    // per-bucket target, ceil(4 / 2) = 2, would cut six passes instead.
+    std::vector<std::string> inputs = {"xlisp", "matrix300", "tomcatv"};
+    std::vector<core::AnalysisConfig> configs = {
+        core::AnalysisConfig::windowed(16),
+        core::AnalysisConfig::windowed(256),
+        core::AnalysisConfig::noRenaming(),
+        core::AnalysisConfig::dataflowConservative(),
+    };
+    SweepJsonOptions json;
+    json.timing = false;
+
+    TraceRepository repo(smallScale());
+    SweepEngine::Options autoOpt;
+    autoOpt.jobs = 2;
+    autoOpt.groupSize = 0;
+    SweepResult fused = SweepEngine(autoOpt).run(repo, inputs, configs);
+    EXPECT_EQ(fused.fusedGroups, inputs.size());
+
+    SweepEngine::Options soloOpt = autoOpt;
+    soloOpt.groupSize = 1;
+    SweepResult solo = SweepEngine(soloOpt).run(repo, inputs, configs);
+    EXPECT_EQ(solo.fusedGroups, inputs.size() * configs.size());
+    EXPECT_EQ(sweepToJson(fused, json), sweepToJson(solo, json));
+}
+
 TEST(SweepEngine, CellsMatchSoloAnalyzeRunsByteForByte)
 {
     // The acceptance grid shape: window sizes crossed with two workloads,

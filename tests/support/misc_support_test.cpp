@@ -1,6 +1,7 @@
 // Tests for AsciiTable, string utilities, and the PRNG.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "support/ascii_table.hpp"
@@ -52,6 +53,22 @@ TEST(AsciiTable, RendersAlignedColumns)
             width = line.size();
         EXPECT_LE(line.size(), width + 1);
     }
+}
+
+TEST(AsciiTable, SignedCellsCoverTheFullInt64Range)
+{
+    AsciiTable t;
+    t.addColumn("Value");
+    t.beginRow();
+    t.cell(int64_t{-1234});
+    t.beginRow();
+    t.cell(std::numeric_limits<int64_t>::min());
+    t.beginRow();
+    t.cell(std::numeric_limits<int64_t>::max());
+    std::string out = t.toString();
+    EXPECT_NE(out.find("-1,234"), std::string::npos);
+    EXPECT_NE(out.find("-9,223,372,036,854,775,808"), std::string::npos);
+    EXPECT_NE(out.find("9,223,372,036,854,775,807"), std::string::npos);
 }
 
 TEST(StringUtils, Trim)

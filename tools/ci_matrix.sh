@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Build and test the configurations CI covers, each with -DPARAGRAPH_WERROR=ON
+# in its own build-<leg>/ tree, stopping at the first failing leg.
+#
+#   debug            CMAKE_BUILD_TYPE=Debug           ctest
+#   release          CMAKE_BUILD_TYPE=Release         ctest
+#   relwithdebinfo   CMAKE_BUILD_TYPE=RelWithDebInfo  ctest
+#   asan-ubsan       PARAGRAPH_SANITIZE=address,undefined  ctest -L engine
+#   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine
+#
+# Usage: tools/ci_matrix.sh [leg...]     (default: every leg, in that order)
+# Environment: JOBS=N  parallel build and test jobs (default: nproc)
+
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+jobs="${JOBS:-$(nproc)}"
+
+all_legs=(debug release relwithdebinfo asan-ubsan tsan)
+legs=("$@")
+[[ ${#legs[@]} -eq 0 ]] && legs=("${all_legs[@]}")
+
+run_leg() {
+    local leg="$1"
+    local -a cmake_args=(-DPARAGRAPH_WERROR=ON)
+    local -a ctest_args=(--output-on-failure -j "$jobs")
+    case "$leg" in
+      debug)          cmake_args+=(-DCMAKE_BUILD_TYPE=Debug) ;;
+      release)        cmake_args+=(-DCMAKE_BUILD_TYPE=Release) ;;
+      relwithdebinfo) cmake_args+=(-DCMAKE_BUILD_TYPE=RelWithDebInfo) ;;
+      asan-ubsan)     cmake_args+=(-DPARAGRAPH_SANITIZE=address,undefined)
+                      ctest_args+=(-L engine)
+                      # UBSan only warns by default; make a report fail
+                      # its test.
+                      export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" ;;
+      tsan)           cmake_args+=(-DPARAGRAPH_SANITIZE=thread)
+                      ctest_args+=(-L engine) ;;
+      *) echo "ci_matrix: unknown leg '$leg' (legs: ${all_legs[*]})" >&2
+         return 2 ;;
+    esac
+    command -v ninja >/dev/null 2>&1 && cmake_args+=(-G Ninja)
+
+    local dir="$root/build-$leg"
+    echo "=== $leg: configure + build in ${dir#"$root"/}"
+    cmake -B "$dir" -S "$root" "${cmake_args[@]}"
+    cmake --build "$dir" -j "$jobs"
+    echo "=== $leg: ctest ${ctest_args[*]}"
+    ctest --test-dir "$dir" "${ctest_args[@]}"
+    echo "=== $leg: ok"
+}
+
+for leg in "${legs[@]}"; do
+    run_leg "$leg"
+done
+echo "ci_matrix: ${#legs[@]} leg(s) passed: ${legs[*]}"

@@ -13,7 +13,8 @@
 //     --store=FILE           persistent result store (strongly recommended;
 //                            omitting it caches nothing across requests)
 //     --jobs=N               analysis worker threads (default: hardware)
-//     --group=N              configs fused per pass (default: 8)
+//     --group=N              configs fused per pass (default: 8; 0 = auto,
+//                            each worker's share of a request per pass)
 //     --retries=N            extra attempts for ordinarily-failed cells
 //     --deadline=SECONDS     per-attempt cell deadline
 //     --small                serve workload inputs at reduced scale
@@ -128,7 +129,7 @@ usage()
         stderr,
         "usage: paragraph-serve --socket=PATH [daemon options]\n"
         "       paragraph-serve --client --socket=PATH [request options]\n"
-        "  daemon: --store=FILE  --jobs=N  --group=N  --retries=N\n"
+        "  daemon: --store=FILE  --jobs=N  --group=N (0=auto)  --retries=N\n"
         "          --deadline=SECONDS  --small  --trace-budget=BYTES\n"
         "          --store-budget=BYTES  --store-sync=none|interval|cell\n"
         "          --store-sync-interval=SECONDS  --store-compact-every=N\n"
@@ -198,7 +199,7 @@ parseArgs(int argc, char **argv)
                    parseInt(arg.substr(7), n) && n > 0) {
             opt.server.jobs = static_cast<unsigned>(n);
         } else if (startsWith(arg, "--group=") &&
-                   parseInt(arg.substr(8), n) && n > 0) {
+                   parseInt(arg.substr(8), n) && n >= 0) {
             opt.server.groupSize = static_cast<unsigned>(n);
         } else if (startsWith(arg, "--retries=") &&
                    parseInt(arg.substr(10), n) && n >= 0) {
