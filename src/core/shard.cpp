@@ -11,25 +11,12 @@
 namespace paragraph {
 namespace core {
 
-bool
-shardableConfig(const AnalysisConfig &cfg)
+RecordSpans
+contiguousSpans(const trace::TraceRecord *records)
 {
-    // Every stall cut is a total firewall (the floor clears the whole live
-    // well) and prediction carries no table state: all splices validate.
-    return cfg.sysCallsStall &&
-           cfg.branchPredictor == PredictorKind::Perfect;
-}
-
-bool
-fuLimitedConfig(const AnalysisConfig &cfg)
-{
-    if (cfg.totalFuLimit > 0)
-        return true;
-    for (uint32_t lim : cfg.fuLimit) {
-        if (lim > 0)
-            return true;
-    }
-    return false;
+    return [records](size_t lo, size_t hi, const ChunkVisitor &visit) {
+        visit(records + lo, hi - lo);
+    };
 }
 
 PredictorPrepass::PredictorPrepass(const AnalysisConfig &cfg)
@@ -41,16 +28,11 @@ void
 PredictorPrepass::feed(const trace::TraceRecord *records, size_t n)
 {
     for (size_t i = 0; i < n; ++i) {
-        if (!records[i].isCondBranch)
-            continue;
-        bool correct =
-            predictor_.predictAndUpdate(records[i].pc,
-                                        records[i].branchTaken);
-        bits.push(!correct);
-        if (!correct)
-            mispredictCuts.push_back(offset_ + i + 1);
+        if (records[i].isCondBranch) {
+            bits.push(!predictor_.predictAndUpdate(records[i].pc,
+                                                   records[i].branchTaken));
+        }
     }
-    offset_ += n;
 }
 
 std::vector<size_t>
@@ -95,67 +77,100 @@ selectShardCuts(const std::vector<size_t> &candidates, size_t n,
 }
 
 PatchPlan
-planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
-              size_t n, unsigned shards)
+planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans, size_t n,
+              unsigned shards)
 {
     PatchPlan plan;
     const bool modeled = cfg.branchPredictor != PredictorKind::Perfect;
+    const bool cutting = shards >= 2 && n >= 2;
 
+    // Equal tiles: the fallback when the trace offers no natural boundary.
+    // The patch validates every splice and replays on failure, so the cut
+    // choice only affects speed, never correctness.
+    std::vector<size_t> tiles;
+    for (unsigned k = 1; cutting && k < shards; ++k) {
+        size_t pos =
+            static_cast<size_t>(static_cast<uint64_t>(n) * k / shards);
+        if (pos > 0 && pos < n && (tiles.empty() || tiles.back() != pos))
+            tiles.push_back(pos);
+    }
+
+    // One scan in trace order: feed the predictor pre-pass, collect the
+    // candidate cuts (sorted by construction), and note the conditional
+    // branches preceding every candidate and tile for branchBase.
+    std::vector<size_t> candidates;
+    std::vector<uint64_t> candidateBranches;
+    std::vector<uint64_t> tileBranches(tiles.size(), 0);
     PredictorPrepass pre(cfg);
-    if (modeled)
-        pre.feed(records, n);
+    if (modeled || (cutting && cfg.sysCallsStall)) {
+        size_t pos = 0;
+        size_t nextTile = 0;
+        uint64_t branches = 0;
+        spans(0, n, [&](const trace::TraceRecord *records, size_t len) {
+            if (modeled)
+                pre.feed(records, len);
+            for (size_t i = 0; i < len; ++i, ++pos) {
+                if (nextTile < tiles.size() && tiles[nextTile] == pos)
+                    tileBranches[nextTile++] = branches;
+                const trace::TraceRecord &rec = records[i];
+                bool cut = cfg.sysCallsStall && rec.isSysCall;
+                if (rec.isCondBranch)
+                    cut |= modeled && pre.bits.bit(branches++);
+                if (cut && pos + 1 < n &&
+                    (candidates.empty() || candidates.back() != pos + 1)) {
+                    candidates.push_back(pos + 1);
+                    candidateBranches.push_back(branches);
+                }
+            }
+        });
+    }
 
-    if (shards >= 2 && n >= 2) {
-        std::vector<size_t> candidates;
-        if (cfg.sysCallsStall) {
-            for (size_t i = 0; i + 1 < n; ++i) {
-                if (records[i].isSysCall)
-                    candidates.push_back(i + 1);
-            }
+    std::vector<uint64_t> cutBranches;
+    if (!candidates.empty()) {
+        plan.cuts = selectShardCuts(candidates, n, shards);
+        for (size_t cut : plan.cuts) {
+            size_t at = static_cast<size_t>(
+                std::lower_bound(candidates.begin(), candidates.end(), cut) -
+                candidates.begin());
+            cutBranches.push_back(candidateBranches[at]);
         }
-        if (modeled) {
-            for (size_t pos : pre.mispredictCuts) {
-                if (pos + 1 <= n && pos < n)
-                    candidates.push_back(pos);
-            }
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
-        if (!candidates.empty()) {
-            plan.cuts = selectShardCuts(candidates, n, shards);
-        } else {
-            // No natural boundary anywhere: plain equal-spacing cuts. The
-            // patch validates every splice and replays on failure, so the
-            // cut choice only affects speed, never correctness.
-            for (unsigned k = 1; k < shards; ++k) {
-                size_t pos = static_cast<size_t>(
-                    static_cast<uint64_t>(n) * k / shards);
-                if (pos > 0 && pos < n)
-                    plan.cuts.push_back(pos);
-            }
-            plan.cuts.erase(
-                std::unique(plan.cuts.begin(), plan.cuts.end()),
-                plan.cuts.end());
-        }
+    } else {
+        plan.cuts = std::move(tiles);
+        cutBranches = std::move(tileBranches);
     }
 
     if (modeled) {
         plan.bits = std::move(pre.bits);
-        plan.branchBase.assign(plan.cuts.size() + 1, 0);
-        size_t c = 0;
-        uint64_t count = 0;
-        for (size_t i = 0; i < n && c < plan.cuts.size(); ++i) {
-            if (i == plan.cuts[c]) {
-                plan.branchBase[c + 1] = count;
-                ++c;
-            }
-            if (records[i].isCondBranch)
-                ++count;
-        }
+        plan.branchBase.push_back(0);
+        plan.branchBase.insert(plan.branchBase.end(), cutBranches.begin(),
+                               cutBranches.end());
     }
     return plan;
+}
+
+PatchPlan
+planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
+              size_t n, unsigned shards)
+{
+    return planPatchPlan(cfg, contiguousSpans(records), n, shards);
+}
+
+void
+runSegment(const AnalysisConfig &cfg, const RecordSpans &spans, size_t lo,
+           size_t hi, SegmentRun &out, const MispredictBits *bits,
+           uint64_t branch_base)
+{
+    AnalysisConfig seg_cfg = cfg;
+    seg_cfg.maxInstructions = 0; // the caller slices exact spans
+    Paragraph engine(seg_cfg);
+    out.log.reserve(hi - lo);
+    engine.beginSegment(&out.log);
+    if (bits)
+        engine.feedMispredicts(bits->words.data(), branch_base);
+    spans(lo, hi, [&](const trace::TraceRecord *records, size_t len) {
+        engine.processAll(records, len);
+    });
+    out.result = engine.finish();
 }
 
 void
@@ -163,24 +178,28 @@ runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
            size_t n, SegmentRun &out, const MispredictBits *bits,
            uint64_t branch_base)
 {
-    AnalysisConfig seg_cfg = cfg;
-    seg_cfg.maxInstructions = 0; // the caller slices exact spans
-    Paragraph engine(seg_cfg);
-    out.log.reserve(n);
-    engine.beginSegment(&out.log);
-    if (bits)
-        engine.feedMispredicts(bits->words.data(), branch_base);
-    engine.processAll(records, n);
-    out.result = engine.finish();
+    runSegment(cfg, contiguousSpans(records), 0, n, out, bits, branch_base);
 }
 
 namespace {
 
+/** True when @p cfg enables any functional-unit limit. */
+bool
+fuLimitedConfig(const AnalysisConfig &cfg)
+{
+    if (cfg.totalFuLimit > 0)
+        return true;
+    for (uint32_t lim : cfg.fuLimit) {
+        if (lim > 0)
+            return true;
+    }
+    return false;
+}
+
 /**
  * The sequential patch walk's accumulator: the true (solo) state at the
  * current boundary plus the merged result so far. splice() is the exact
- * merge of one validated segment — the firewall stitch generalized to an
- * arbitrary boundary at floor off.
+ * merge of one validated segment at an arbitrary boundary at floor off.
  */
 struct Splicer
 {
@@ -452,15 +471,6 @@ canSpliceAt(const AnalysisConfig &cfg, int64_t F, int64_t deepest,
 }
 
 } // namespace
-
-AnalysisResult
-stitchSegments(const AnalysisConfig &cfg, std::vector<SegmentRun> &segments)
-{
-    Splicer sp(cfg);
-    for (SegmentRun &seg : segments)
-        sp.splice(seg);
-    return sp.finish();
-}
 
 AnalysisResult
 patchSegments(const AnalysisConfig &cfg, std::vector<SegmentRun> &segments,

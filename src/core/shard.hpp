@@ -19,17 +19,23 @@
  *    (floor == deepest + 1), so pre-cut throttle occupancy — which never
  *    extends past the deepest level — is never probed again.
  *
- * At a total-firewall cut (immediately after a stalling syscall under the
- * paper's conservative assumption) every condition holds unconditionally —
- * that is PR 7's firewall-point theorem as a special case. At an arbitrary
- * cut the conditions are checked per segment against the carried state
- * (patchSegments): segments that pass are spliced in O(boundary episodes);
- * segments that fail are replayed sequentially through a resumable
- * Paragraph seeded with the exact true state, which is byte-exact by
- * construction. Modeled branch predictors are made cut-invariant by a
- * sequential predictor pre-pass that precomputes a per-branch mispredict
- * bitvector (predictors consume only the branch-record stream).
+ * One planner (planPatchPlan) picks the cuts: the positions right after
+ * stalling syscalls and mispredicted branches, or plain equal tiles when
+ * the trace offers neither. One patch (patchSegments) checks every
+ * segment's conditions against the carried state: segments that pass are
+ * spliced in O(boundary episodes); segments that fail are replayed
+ * sequentially through a resumable Paragraph seeded with the exact true
+ * state, which is byte-exact by construction. A cut right after a stalling
+ * syscall is a total firewall (the stall raises the floor past every level
+ * used so far), where every condition holds unconditionally — so under
+ * stalling syscalls and perfect prediction every stall cut splices and
+ * nothing replays. Modeled branch predictors are made cut-invariant by a
+ * sequential predictor pre-pass, folded into the planner's scan, that
+ * precomputes a per-branch mispredict bitvector (predictors consume only
+ * the branch-record stream).
  *
+ * The planner and the segment runner read the trace through a RecordSpans
+ * source, so one contiguous capture and a block-decoding pool share them.
  * The boundary data a segment exports — first-touch import episodes, head
  * floors/levels, window tail, per-level op counts, well watermarks — is
  * described in core/segment_log.hpp. The patch reproduces every counter,
@@ -56,16 +62,21 @@
 namespace paragraph {
 namespace core {
 
-/**
- * True when @p cfg admits the firewall-point fast path: every cut after a
- * stalling syscall is a total firewall, so all splices validate and the
- * predictor pre-pass is unnecessary. Sharding itself no longer requires
- * this — patchSegments handles every config.
- */
-bool shardableConfig(const AnalysisConfig &cfg);
+/** Receives one contiguous chunk of trace records. */
+using ChunkVisitor =
+    std::function<void(const trace::TraceRecord *records, size_t n)>;
 
-/** True when @p cfg enables any functional-unit limit. */
-bool fuLimitedConfig(const AnalysisConfig &cfg);
+/**
+ * A record-span source over one trace: spans(lo, hi, visit) hands records
+ * [lo, hi) to @p visit in trace order as one or more contiguous chunks —
+ * one chunk for a capture, block slices for a decode pool. Segment runs
+ * call it from several threads at once.
+ */
+using RecordSpans =
+    std::function<void(size_t lo, size_t hi, const ChunkVisitor &visit)>;
+
+/** The span source over one contiguous record array. */
+RecordSpans contiguousSpans(const trace::TraceRecord *records);
 
 /**
  * Per-branch mispredict bits from the sequential predictor pre-pass:
@@ -94,10 +105,10 @@ struct MispredictBits
  * Sequential predictor pre-pass: run the modeled predictor once over the
  * branch-record stream (no live well, no placement — cheap) to make
  * predictor state cut-invariant. Feed records in trace order, possibly in
- * chunks (e.g. decoded blocks); collects the mispredict bitvector and the
- * record positions immediately after mispredicted branches, which are
- * natural cut candidates (the firewall raise at a mispredict tends to
- * clear the live well the same way a syscall stall does).
+ * chunks (e.g. decoded blocks); collects the mispredict bitvector. The
+ * positions right after mispredicted branches are natural cut candidates
+ * (the firewall raise at a mispredict tends to clear the live well the
+ * same way a syscall stall does).
  */
 class PredictorPrepass
 {
@@ -107,18 +118,10 @@ class PredictorPrepass
     /** Consume @p n records continuing the global trace order. */
     void feed(const trace::TraceRecord *records, size_t n);
 
-    /** Conditional branches seen so far. */
-    uint64_t branches() const { return bits.count; }
-
-    /** Records consumed so far. */
-    size_t recordsSeen() const { return offset_; }
-
     MispredictBits bits;
-    std::vector<size_t> mispredictCuts; ///< record index after each miss
 
   private:
     BranchPredictor predictor_;
-    size_t offset_ = 0;
 };
 
 /**
@@ -141,15 +144,21 @@ struct PatchPlan
 };
 
 /**
- * Plan up to @p shards segments over @p records[0, n) under @p cfg. Cut
- * candidates are the positions immediately after stalling syscalls (when
- * the config stalls) and after mispredicted branches (modeled predictors,
- * discovered by the pre-pass run here); with no candidates at all the plan
- * falls back to plain equal-spacing cuts — the patch validates every
- * splice and replays on failure, so correctness never depends on the cut
- * choice, only speed does. Returns an empty-cut plan when shards < 2 or
- * n < 2 (solo).
+ * Plan up to @p shards segments over records [0, n) of @p spans under
+ * @p cfg, in one scan. Cut candidates are the positions immediately after
+ * stalling syscalls (when the config stalls) and after mispredicted
+ * branches (modeled predictors, discovered by the pre-pass the scan
+ * feeds); with no candidates at all the plan falls back to plain
+ * equal-spacing cuts — the patch validates every splice and replays on
+ * failure, so correctness never depends on the cut choice, only speed
+ * does. The scan records the branch ordinal at every candidate and tile
+ * position, so branchBase needs no second pass. Returns an empty-cut plan
+ * when shards < 2 or n < 2 (solo).
  */
+PatchPlan planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans,
+                        size_t n, unsigned shards);
+
+/** planPatchPlan() over the contiguous @p records[0, n). */
 PatchPlan planPatchPlan(const AnalysisConfig &cfg,
                         const trace::TraceRecord *records, size_t n,
                         unsigned shards);
@@ -165,10 +174,9 @@ std::vector<size_t> planShardCuts(const trace::TraceRecord *records,
                                   size_t n, unsigned shards);
 
 /**
- * The selection half of planShardCuts() for callers that gather candidate
- * positions themselves (e.g. scanning decoded blocks instead of one
- * contiguous record array): pick up to @p shards - 1 cuts from the sorted
- * @p candidates, nearest to the equal-spacing targets over @p n records.
+ * The selection half of planShardCuts() and planPatchPlan(): pick up to
+ * @p shards - 1 cuts from the sorted @p candidates, nearest to the
+ * equal-spacing targets over @p n records.
  */
 std::vector<size_t> selectShardCuts(const std::vector<size_t> &candidates,
                                     size_t n, unsigned shards);
@@ -181,29 +189,23 @@ struct SegmentRun
 };
 
 /**
- * Analyze @p records[0, n) as one shard segment under @p cfg (segment
- * instruction caps are ignored: the caller slices exact spans). Runs on
- * the calling thread; segments are independent, so callers parallelize by
- * invoking this from one thread per segment. For modeled predictors pass
- * the plan's bitvector and the segment's branchBase so the segment
- * consumes the precomputed, cut-invariant outcomes.
+ * Analyze records [lo, hi) of @p spans as one shard segment under @p cfg
+ * (segment instruction caps are ignored: the caller slices exact spans).
+ * Runs on the calling thread; segments are independent, so callers
+ * parallelize by invoking this from one thread per segment. For modeled
+ * predictors pass the plan's bitvector and the segment's branchBase so the
+ * segment consumes the precomputed, cut-invariant outcomes.
  */
+void runSegment(const AnalysisConfig &cfg, const RecordSpans &spans,
+                size_t lo, size_t hi, SegmentRun &out,
+                const MispredictBits *bits = nullptr,
+                uint64_t branch_base = 0);
+
+/** runSegment() over the contiguous @p records[0, n). */
 void runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
                 size_t n, SegmentRun &out,
                 const MispredictBits *bits = nullptr,
                 uint64_t branch_base = 0);
-
-/**
- * Stitch segment results (in trace order) into the solo-equivalent
- * AnalysisResult, assuming every boundary is a valid splice point (the
- * firewall fast path: shardableConfig() with stall cuts). All counters,
- * the lifetime/sharing histograms, the live-well peak/final population,
- * the critical path and the ops-per-level profile are exact; the storage
- * profile is folded at each segment's bucket resolution. analysisSeconds
- * is left 0 (the caller owns wall-clock attribution).
- */
-AnalysisResult stitchSegments(const AnalysisConfig &cfg,
-                              std::vector<SegmentRun> &segments);
 
 /** How patchSegments resolved each boundary. */
 struct PatchOutcome
@@ -221,14 +223,20 @@ using SegmentFeed = std::function<void(Paragraph &engine, size_t seg)>;
 /**
  * Validate-or-replay patch: walk @p segments in trace order carrying the
  * true live well, floor, deepest level and window ring. Each segment whose
- * splice conditions hold (see file header) is merged exactly like
- * stitchSegments; each segment that fails is replayed sequentially through
- * a resumable Paragraph seeded with the true boundary state — consecutive
- * failing segments share one engine session, preserving functional-unit
- * and window continuity. The result is byte-exact against a solo run for
- * every configuration. @p replay may be null only when every boundary is
- * guaranteed to splice (e.g. shardableConfig() stall cuts); @p bits (with
- * @p branch_base, both from the plan) is required for modeled predictors.
+ * splice conditions hold (see file header) is merged in O(boundary
+ * episodes): every counter, the lifetime/sharing histograms, the live-well
+ * peak/final population, the critical path and the ops-per-level profile
+ * exactly, the storage profile at the segment's bucket resolution. Each
+ * segment that fails is replayed sequentially through a resumable
+ * Paragraph seeded with the true boundary state — consecutive failing
+ * segments share one engine session, preserving functional-unit and
+ * window continuity. A cut right after a stalling syscall is a total
+ * firewall and always splices, so stall cuts under perfect prediction
+ * never replay. The result is byte-exact against a solo run for every
+ * configuration; analysisSeconds is left 0 (the caller owns wall-clock
+ * attribution). @p replay may be null only when every boundary is
+ * guaranteed to splice; @p bits (with @p branch_base, both from the plan)
+ * is required for modeled predictors.
  */
 AnalysisResult patchSegments(const AnalysisConfig &cfg,
                              std::vector<SegmentRun> &segments,

@@ -133,241 +133,91 @@ runSegmentsParallel(size_t nSegments, unsigned shards, const RunOne &runOne)
 }
 
 /**
- * Split-and-patch sharded analysis of a pooled streamed input: plan cuts
- * (after stalling syscalls and mispredicted branches; plain tiles when the
- * trace offers neither), run the segments on up to @p shards threads (each
- * engine thread-private, fed block slices from the shared pool), and patch
- * the exact solo-equivalent result — splicing boundaries whose validity
- * conditions hold and replaying the rest sequentially (core/shard.hpp).
- * Returns false — leaving @p cell untouched — when the trace is too small
- * to cut; the caller falls back to the solo pass. Throws what a segment
- * run throws (CancelledError included), for the caller's attempts loop.
+ * Records [lo, hi) of a pooled input as block slices off the shared decode
+ * pool; block waits (decode or contention) add to *wait.
+ */
+core::RecordSpans
+poolSpans(trace::SharedDecodePool &pool, double *wait)
+{
+    return [&pool, wait](size_t lo, size_t hi,
+                         const core::ChunkVisitor &visit) {
+        const size_t blockRecords = pool.blockRecords();
+        while (lo < hi) {
+            const size_t b = lo / blockRecords;
+            auto t0 = std::chrono::steady_clock::now();
+            std::shared_ptr<const trace::DecodedBlock> blk = pool.block(b);
+            *wait += secondsSince(t0);
+            const size_t off = lo - b * blockRecords;
+            const size_t len = std::min(hi - lo, blk->records.size() - off);
+            visit(blk->records.data() + off, len);
+            lo += len;
+        }
+    };
+}
+
+/** A cell's trace as a span source whose chunk waits add to *wait. */
+using TimedSpans = std::function<core::RecordSpans(double *wait)>;
+
+/**
+ * Split-and-patch sharded analysis of a cell's first @p records records
+ * (clamped to maxInstructions): plan cuts (core::planPatchPlan), run the
+ * segments on up to @p shards threads, each engine thread-private, and
+ * patch the exact solo-equivalent result, replaying failed splices from
+ * the same spans (core/shard.hpp). Only decode on the critical path counts
+ * into decodeSeconds: the plan scan's waits, the largest segment's waits
+ * and the replay's waits. Returns false — leaving the result untouched —
+ * when the plan has no cuts; the caller falls back to the solo pass.
+ * Throws what a segment run throws (CancelledError included), for the
+ * caller's attempts loop.
  */
 bool
-analyzeSharded(const std::shared_ptr<trace::SharedDecodePool> &pool,
+analyzeSharded(const TimedSpans &spans, uint64_t records,
                const core::AnalysisConfig &cfg, unsigned shards,
                SweepCell &cell)
 {
-    uint64_t limit = pool->recordCount();
-    if (cfg.maxInstructions && cfg.maxInstructions < limit)
-        limit = cfg.maxInstructions;
-    if (limit < 2 || shards < 2)
-        return false;
-    const size_t blockRecords = pool->blockRecords();
-    const bool modeled =
-        cfg.branchPredictor != core::PredictorKind::Perfect;
-
-    // Plan pass: scan decoded blocks for candidate cuts — the record after
-    // each stalling syscall and after each mispredicted branch, the latter
-    // found by the sequential predictor pre-pass that also precomputes the
-    // cut-invariant mispredict bitvector for the segment runs. The scan
-    // warms the pool's block cache for those runs right behind it.
-    double decode = 0.0;
-    std::vector<size_t> candidates;
-    std::vector<uint64_t> blockBranchPrefix;
-    core::PredictorPrepass pre(cfg);
-    {
-        uint64_t pos = 0;
-        size_t blockIdx = 0;
-        while (pos < limit) {
-            auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const trace::DecodedBlock> blk =
-                pool->block(blockIdx++);
-            decode += secondsSince(t0);
-            const size_t n = blk->records.size();
-            if (n == 0)
-                break;
-            const size_t use =
-                static_cast<size_t>(std::min<uint64_t>(n, limit - pos));
-            if (modeled) {
-                blockBranchPrefix.push_back(pre.branches());
-                pre.feed(blk->records.data(), use);
-            }
-            if (cfg.sysCallsStall) {
-                for (size_t i = 0; i < use && pos + i + 1 < limit; ++i) {
-                    if (blk->records[i].isSysCall)
-                        candidates.push_back(
-                            static_cast<size_t>(pos + i + 1));
-                }
-            }
-            pos += use;
-        }
-    }
-    if (modeled) {
-        for (size_t c : pre.mispredictCuts) {
-            if (c > 0 && c < limit)
-                candidates.push_back(c);
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
-    }
-    const bool naturalCuts = !candidates.empty();
-    std::vector<size_t> cuts = core::selectShardCuts(
-        candidates, static_cast<size_t>(limit), shards);
-    if (cuts.empty()) {
-        // No natural boundary anywhere: plain equal tiles. The patch
-        // validates every splice and replays on failure, so the cut
-        // choice only affects speed, never correctness.
-        for (unsigned k = 1; k < shards; ++k) {
-            size_t p = static_cast<size_t>(limit * k / shards);
-            if (p > 0 && p < limit)
-                cuts.push_back(p);
-        }
-        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    }
-    if (cuts.empty()) {
-        cell.decodeSeconds += decode; // the scan still decoded the trace
-        return false;
-    }
-
-    std::vector<uint64_t> bounds;
-    bounds.reserve(cuts.size() + 2);
-    bounds.push_back(0);
-    for (size_t c : cuts)
-        bounds.push_back(c);
-    bounds.push_back(limit);
-    const size_t nSegments = bounds.size() - 1;
-
-    // Per-segment branch ordinals (modeled predictors): conditional
-    // branches before the segment's first record, from the block prefix
-    // counts plus one in-block scan per cut (those blocks are cached).
-    std::vector<uint64_t> branchBase(nSegments, 0);
-    if (modeled) {
-        for (size_t s = 1; s < nSegments; ++s) {
-            size_t bi = static_cast<size_t>(bounds[s] / blockRecords);
-            auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const trace::DecodedBlock> blk =
-                pool->block(bi);
-            decode += secondsSince(t0);
-            uint64_t base = blockBranchPrefix[bi];
-            size_t off = static_cast<size_t>(
-                bounds[s] - static_cast<uint64_t>(bi) * blockRecords);
-            for (size_t i = 0; i < off; ++i) {
-                if (blk->records[i].isCondBranch)
-                    ++base;
-            }
-            branchBase[s] = base;
-        }
-    }
-
-    std::vector<core::SegmentRun> segments(nSegments);
-    std::vector<double> segDecode(nSegments, 0.0);
-
-    auto feedSpan = [&](core::Paragraph &engine, size_t s,
-                        double *decodeOut) {
-        uint64_t pos = bounds[s];
-        const uint64_t hi = bounds[s + 1];
-        while (pos < hi) {
-            size_t b = static_cast<size_t>(pos / blockRecords);
-            auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const trace::DecodedBlock> blk = pool->block(b);
-            *decodeOut += secondsSince(t0);
-            size_t off = static_cast<size_t>(
-                pos - static_cast<uint64_t>(b) * blockRecords);
-            size_t len = static_cast<size_t>(std::min<uint64_t>(
-                hi - pos, blk->records.size() - off));
-            engine.processAll(blk->records.data() + off, len);
-            pos += len;
-        }
-    };
-
-    auto runOne = [&](size_t s) {
-        core::AnalysisConfig seg_cfg = cfg;
-        seg_cfg.maxInstructions = 0; // the bounds slice exact spans
-        core::Paragraph engine(seg_cfg);
-        engine.beginSegment(&segments[s].log);
-        segments[s].log.reserve(
-            static_cast<size_t>(bounds[s + 1] - bounds[s]));
-        if (modeled)
-            engine.feedMispredicts(pre.bits.words.data(), branchBase[s]);
-        feedSpan(engine, s, &segDecode[s]);
-        segments[s].result = engine.finish();
-    };
-
-    std::exception_ptr firstError =
-        runSegmentsParallel(nSegments, shards, runOne);
-    for (double d : segDecode)
-        decode += d;
-    cell.decodeSeconds += decode;
-    if (firstError)
-        std::rethrow_exception(firstError);
-
-    core::PatchOutcome outcome;
-    if (core::shardableConfig(cfg) && naturalCuts) {
-        // Firewall fast path: every stall cut is a total firewall, so all
-        // splices validate by construction — skip the per-boundary checks.
-        cell.result = core::stitchSegments(cfg, segments);
-        outcome.spliced = static_cast<unsigned>(nSegments);
-    } else {
-        double replayDecode = 0.0;
-        auto replay = [&](core::Paragraph &engine, size_t s) {
-            feedSpan(engine, s, &replayDecode);
-        };
-        cell.result = core::patchSegments(
-            cfg, segments, replay, modeled ? &pre.bits : nullptr,
-            modeled ? &branchBase : nullptr, &outcome);
-        cell.decodeSeconds += replayDecode;
-    }
-    cell.shardSegments = static_cast<unsigned>(nSegments);
-    cell.shardSpliced = outcome.spliced;
-    cell.shardReplayed = outcome.replayed;
-    return true;
-}
-
-/**
- * Split-and-patch sharded analysis of a shared capture (contiguous
- * records): the same plan → parallel segments → validate-or-replay patch
- * as the streamed path, minus the block bookkeeping. Returns false when
- * the capture is too small to cut.
- */
-bool
-analyzeShardedCapture(const trace::TraceBuffer &buffer,
-                      const core::AnalysisConfig &cfg, unsigned shards,
-                      SweepCell &cell)
-{
-    uint64_t limit = buffer.size();
-    if (cfg.maxInstructions && cfg.maxInstructions < limit)
-        limit = cfg.maxInstructions;
-    if (limit < 2 || shards < 2)
-        return false;
-    const trace::TraceRecord *records = buffer.records().data();
-    const size_t n = static_cast<size_t>(limit);
-    const bool modeled =
-        cfg.branchPredictor != core::PredictorKind::Perfect;
-
-    core::PatchPlan plan = core::planPatchPlan(cfg, records, n, shards);
+    if (cfg.maxInstructions && cfg.maxInstructions < records)
+        records = cfg.maxInstructions;
+    const size_t n = static_cast<size_t>(records);
+    double planWait = 0.0;
+    core::PatchPlan plan =
+        core::planPatchPlan(cfg, spans(&planWait), n, shards);
+    cell.decodeSeconds += planWait;
     if (plan.cuts.empty())
         return false;
 
-    std::vector<size_t> bounds;
-    bounds.reserve(plan.cuts.size() + 2);
-    bounds.push_back(0);
-    for (size_t c : plan.cuts)
-        bounds.push_back(c);
+    std::vector<size_t> bounds{0};
+    bounds.insert(bounds.end(), plan.cuts.begin(), plan.cuts.end());
     bounds.push_back(n);
-    const size_t nSegments = bounds.size() - 1;
+    const size_t nSegments = plan.segments();
+    const bool modeled =
+        cfg.branchPredictor != core::PredictorKind::Perfect;
 
     std::vector<core::SegmentRun> segments(nSegments);
-    auto runOne = [&](size_t s) {
-        core::runSegment(cfg, records + bounds[s],
-                         bounds[s + 1] - bounds[s], segments[s],
-                         modeled ? &plan.bits : nullptr,
-                         modeled ? plan.branchBase[s] : 0);
-    };
+    std::vector<double> segWait(nSegments, 0.0);
     std::exception_ptr firstError =
-        runSegmentsParallel(nSegments, shards, runOne);
+        runSegmentsParallel(nSegments, shards, [&](size_t s) {
+            core::runSegment(cfg, spans(&segWait[s]), bounds[s],
+                             bounds[s + 1], segments[s],
+                             modeled ? &plan.bits : nullptr,
+                             modeled ? plan.branchBase[s] : 0);
+        });
+    cell.decodeSeconds += *std::max_element(segWait.begin(), segWait.end());
     if (firstError)
         std::rethrow_exception(firstError);
 
-    core::PatchOutcome outcome;
+    double replayWait = 0.0;
+    const core::RecordSpans replaySpans = spans(&replayWait);
     auto replay = [&](core::Paragraph &engine, size_t s) {
-        engine.processAll(records + bounds[s], bounds[s + 1] - bounds[s]);
+        replaySpans(bounds[s], bounds[s + 1],
+                    [&](const trace::TraceRecord *chunk, size_t len) {
+                        engine.processAll(chunk, len);
+                    });
     };
+    core::PatchOutcome outcome;
     cell.result = core::patchSegments(
         cfg, segments, replay, modeled ? &plan.bits : nullptr,
         modeled ? &plan.branchBase : nullptr, &outcome);
+    cell.decodeSeconds += replayWait;
     cell.shardSegments = static_cast<unsigned>(nSegments);
     cell.shardSpliced = outcome.spliced;
     cell.shardReplayed = outcome.replayed;
@@ -409,8 +259,11 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
                 std::shared_ptr<trace::SharedDecodePool> pool =
                     repo.decodePool(cell.job.input);
                 bool done = false;
-                if (pool && opt.shards > 1)
-                    done = analyzeSharded(pool, cfg, opt.shards, cell);
+                if (pool && opt.shards > 1) {
+                    done = analyzeSharded(
+                        [&](double *wait) { return poolSpans(*pool, wait); },
+                        pool->recordCount(), cfg, opt.shards, cell);
+                }
                 if (!done && pool) {
                     cell.result = analyzePooledSolo(std::move(pool), cfg,
                                                     &cell.decodeSeconds);
@@ -425,10 +278,14 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
                 // cursor object, no virtual dispatch per record.
                 std::shared_ptr<const trace::TraceBuffer> buffer =
                     repo.get(cell.job.input);
+                const trace::TraceRecord *records = buffer->records().data();
                 bool done = false;
                 if (opt.shards > 1) {
-                    done = analyzeShardedCapture(*buffer, cfg, opt.shards,
-                                                 cell);
+                    done = analyzeSharded(
+                        [records](double *) {
+                            return core::contiguousSpans(records);
+                        },
+                        buffer->size(), cfg, opt.shards, cell);
                 }
                 if (!done) {
                     core::Paragraph analyzer(cfg);

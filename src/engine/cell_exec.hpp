@@ -12,6 +12,12 @@
  * changes how many passes a grid takes, never what a cell contains: that
  * is what makes a daemon-served cell byte-identical to the same cell from
  * a paragraph-sweep run, at any --jobs or --group.
+ *
+ * A sharded solo cell runs one driver whatever its input kind: the cell's
+ * trace becomes a core::RecordSpans source — the capture as one chunk, or
+ * a pooled `.ptrc` as block slices off the shared decode pool — and the
+ * driver plans with core::planPatchPlan, runs the segments in parallel and
+ * patches them with core::patchSegments, replaying from the same spans.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP

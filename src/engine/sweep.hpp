@@ -89,9 +89,11 @@ struct SweepCell
     double wallSeconds = 0.0;
 
     /** Of which, seconds spent producing trace records: private stream
-     *  decode, or waits on the shared decode pool (cumulative across
-     *  shard threads). 0 for captured inputs — their capture is paid
-     *  once, up front, in SweepResult::captureSeconds. */
+     *  decode, or waits on the shared decode pool. A sharded cell counts
+     *  only the waits on its critical path — the plan scan's, the largest
+     *  segment's and the replay's — so this never exceeds wallSeconds.
+     *  0 for captured inputs — their capture is paid once, up front, in
+     *  SweepResult::captureSeconds. */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */

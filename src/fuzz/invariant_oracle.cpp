@@ -653,29 +653,40 @@ InvariantOracle::check(const TraceBuffer &trace) const
 
     // --- shard-stitch-identity --------------------------------------------
     // Firewall-point sharding (core/shard.hpp) through the fuzzer's traces:
-    // whatever syscall pattern the generator or a mutation produced, the
-    // stitched segment analysis must equal the solo pass bit-for-bit. A
-    // trace with no interior syscall degenerates to one segment, which
-    // still exercises the segment-mode engine (beginSegment + stitch).
+    // whatever syscall pattern the generator or a mutation produced, every
+    // segment cut after a stalling syscall must splice (no replay) and the
+    // patched result must equal the solo pass bit-for-bit. A trace with no
+    // interior syscall degenerates to one segment, which still exercises
+    // the segment-mode engine (beginSegment + splice). Every config checked
+    // here stalls with perfect prediction.
     if (trace.size() > 0) {
         const TraceRecord *records = trace.records().data();
         size_t n = trace.size();
+        std::vector<size_t> bounds{0};
         std::vector<size_t> cuts = core::planShardCuts(records, n, 4);
+        bounds.insert(bounds.end(), cuts.begin(), cuts.end());
+        bounds.push_back(n);
         for (size_t i :
              {size_t{kBase}, size_t{kWindowSmall}, size_t{kRenameNone},
               size_t{kFuLimited}}) {
-            if (!core::shardableConfig(matrix[i].cfg))
-                continue;
-            std::vector<size_t> bounds;
-            bounds.push_back(0);
-            bounds.insert(bounds.end(), cuts.begin(), cuts.end());
-            bounds.push_back(n);
             std::vector<core::SegmentRun> segments(bounds.size() - 1);
             for (size_t k = 0; k + 1 < bounds.size(); ++k)
                 core::runSegment(matrix[i].cfg, records + bounds[k],
                                  bounds[k + 1] - bounds[k], segments[k]);
-            AnalysisResult stitched =
-                core::stitchSegments(matrix[i].cfg, segments);
+            core::PatchOutcome outcome;
+            AnalysisResult stitched = core::patchSegments(
+                matrix[i].cfg, segments,
+                [&](core::Paragraph &engine, size_t k) {
+                    engine.processAll(records + bounds[k],
+                                      bounds[k + 1] - bounds[k]);
+                },
+                nullptr, nullptr, &outcome);
+            if (outcome.replayed != 0)
+                fail("shard-stitch-identity",
+                     strFormat("config %s (%zu segments): %u firewall "
+                               "segments replayed",
+                               matrix[i].name, segments.size(),
+                               outcome.replayed));
             if (!detail::resultsEqual(solo[i], stitched, &diff))
                 fail("shard-stitch-identity",
                      strFormat("config %s (%zu segments): %s",

@@ -31,8 +31,9 @@
  *   critical-path-lower-bound  cp >= max placed latency; peak >= final
  *   file-round-trip            .ptrc and .ptrz round-trip to identical
  *                              records
- *   shard-stitch-identity      firewall-cut segments stitch to the exact
- *                              solo result (stall + perfect prediction)
+ *   shard-stitch-identity      firewall-cut segments all splice (none
+ *                              replayed) and patch to the exact solo
+ *                              result (stall + perfect prediction)
  *   split-and-patch-identity   arbitrary-cut segments patch
  *                              (validate-or-replay) to the exact solo
  *                              result under EVERY matrix config

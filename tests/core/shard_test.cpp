@@ -1,6 +1,6 @@
-// Split-and-patch sharding: segments analyzed independently and stitched
-// (firewall cuts) or validated-and-patched (arbitrary cuts, every config)
-// must reproduce the solo run exactly (core/shard.hpp).
+// Split-and-patch sharding: segments analyzed independently and
+// validated-and-patched must reproduce the solo run exactly for every
+// config (core/shard.hpp); at firewall cuts every segment splices.
 
 #include <gtest/gtest.h>
 
@@ -115,7 +115,16 @@ analyzeViaShards(const AnalysisConfig &cfg, const TraceBuffer &buf,
         runSegment(cfg, records + bounds[k], bounds[k + 1] - bounds[k],
                    segments[k]);
     }
-    return stitchSegments(cfg, segments);
+    auto replay = [&](Paragraph &engine, size_t s) {
+        engine.processAll(records + bounds[s],
+                          bounds[s + 1] - bounds[s]);
+    };
+    PatchOutcome outcome;
+    AnalysisResult patched =
+        patchSegments(cfg, segments, replay, nullptr, nullptr, &outcome);
+    // Stall cuts are total firewalls: every segment splices.
+    EXPECT_EQ(outcome.replayed, 0u);
+    return patched;
 }
 
 void
@@ -127,19 +136,6 @@ expectShardExact(const AnalysisConfig &cfg, const TraceBuffer &buf,
     std::string diff;
     EXPECT_TRUE(shardedResultsEqual(solo, stitched, &diff))
         << what << " (shards=" << shards << "): " << diff;
-}
-
-TEST(ShardGate, RequiresStallingSyscallsAndPerfectPrediction)
-{
-    AnalysisConfig cfg;
-    EXPECT_TRUE(shardableConfig(cfg));
-    cfg.windowSize = 64;
-    EXPECT_TRUE(shardableConfig(cfg));
-    cfg.sysCallsStall = false;
-    EXPECT_FALSE(shardableConfig(cfg));
-    cfg.sysCallsStall = true;
-    cfg.branchPredictor = PredictorKind::Bimodal;
-    EXPECT_FALSE(shardableConfig(cfg));
 }
 
 TEST(ShardPlan, CutsFollowSyscalls)

@@ -1,10 +1,10 @@
-// Engine-level split-and-patch sharding: a streamed `.ptrc` cell run with
-// --shard=N must render the byte-identical JSON document of the unsharded
-// run for EVERY config — the splice/replay equivalence proved
-// record-by-record in tests/core/shard_test.cpp, here end-to-end through
-// TraceRepository's shared decode pool, the sweep scheduler, and the JSON
-// writer. Plus the CLI surface: --shard / --stats argument parsing and
-// the --stats timing fields.
+// Engine-level split-and-patch sharding: a `.ptrc` cell run with --shard=N
+// must render the byte-identical JSON document of the unsharded run for
+// EVERY config — the splice/replay equivalence proved record-by-record in
+// tests/core/shard_test.cpp, here end-to-end through both record-span
+// sources (TraceRepository's shared decode pool and a captured buffer),
+// the sweep scheduler, and the JSON writer. Plus the CLI surface: --shard
+// / --stats argument parsing and the --stats timing fields.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,6 +26,9 @@ using namespace paragraph;
 using namespace paragraph::engine;
 
 namespace {
+
+/** Both repository kinds: streamed off the shared decode pool, captured. */
+constexpr bool kStreamFiles[] = {true, false};
 
 /** A syscall-bearing random trace persisted as a `.ptrc` file. */
 class ShardExec : public ::testing::Test
@@ -53,13 +56,15 @@ class ShardExec : public ::testing::Test
 
     void TearDown() override { std::remove(path_.c_str()); }
 
-    /** One streamed sweep over the file; returns its no-timing document. */
+    /** One sweep over the file, streamed (@p streamFiles) or captured;
+     *  returns its no-timing document. */
     std::string
-    runSweep(unsigned shards, const std::vector<core::AnalysisConfig> &cfgs,
+    runSweep(bool streamFiles, unsigned shards,
+             const std::vector<core::AnalysisConfig> &cfgs,
              SweepResult *outResult = nullptr)
     {
         TraceRepository::Options repoOpt;
-        repoOpt.streamFiles = true;
+        repoOpt.streamFiles = streamFiles;
         TraceRepository repo(repoOpt);
 
         SweepEngine::Options opt;
@@ -90,18 +95,24 @@ TEST_F(ShardExec, ShardedSweepIsByteIdenticalToSolo)
     core::AnalysisConfig plain; // no renaming defaults, still shardable
     cfgs.push_back(plain);
 
-    SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(4, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
+    for (bool streamFiles : kStreamFiles) {
+        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
+        SweepResult sharded;
+        std::string solo = runSweep(streamFiles, 1, cfgs);
+        std::string split = runSweep(streamFiles, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
 
-    // And the sharded run really did shard: a 1%-syscall 20K trace has
-    // hundreds of firewall candidates, so every cell splits.
-    ASSERT_EQ(sharded.cells.size(), cfgs.size());
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 4u);
+        // And the sharded run really did shard: a 1%-syscall 20K trace has
+        // hundreds of firewall candidates, so every cell splits. Every
+        // config here stalls with perfect prediction, so every cut is a
+        // total firewall and every segment splices.
+        ASSERT_EQ(sharded.cells.size(), cfgs.size());
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 4u);
+            EXPECT_EQ(cell.shardReplayed, 0u);
+        }
     }
 }
 
@@ -121,17 +132,20 @@ TEST_F(ShardExec, FormerlyGatedConfigsShardByteIdentically)
     fu.totalFuLimit = 2;
     cfgs.push_back(fu);
 
-    SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(4, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
-    ASSERT_EQ(sharded.cells.size(), cfgs.size());
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 4u);
-        EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
-                  cell.shardSegments);
+    for (bool streamFiles : kStreamFiles) {
+        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
+        SweepResult sharded;
+        std::string solo = runSweep(streamFiles, 1, cfgs);
+        std::string split = runSweep(streamFiles, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
+        ASSERT_EQ(sharded.cells.size(), cfgs.size());
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 4u);
+            EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
+                      cell.shardSegments);
+        }
     }
 }
 
@@ -143,14 +157,41 @@ TEST_F(ShardExec, MoreShardsThanSegmentsClampAndStayExact)
     bimodal.branchPredictor = core::PredictorKind::Bimodal;
     cfgs.push_back(bimodal);
 
+    for (bool streamFiles : kStreamFiles) {
+        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
+        SweepResult sharded;
+        std::string solo = runSweep(streamFiles, 1, cfgs);
+        std::string split = runSweep(streamFiles, 64, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 64u);
+        }
+    }
+}
+
+TEST_F(ShardExec, PooledDecodeSecondsStayWithinWallTime)
+{
+    // A sharded cell counts only the decode on its critical path (plan
+    // scan, slowest segment, replay), never the waits summed across shard
+    // threads, so its decode share fits inside its wall time.
+    std::vector<core::AnalysisConfig> cfgs;
+    cfgs.push_back(core::AnalysisConfig::dataflowConservative());
+    core::AnalysisConfig bimodal = cfgs[0];
+    bimodal.branchPredictor = core::PredictorKind::Bimodal;
+    cfgs.push_back(bimodal);
+    core::AnalysisConfig nostall = cfgs[0];
+    nostall.sysCallsStall = false;
+    cfgs.push_back(nostall);
+
     SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(64, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
+    runSweep(/*streamFiles=*/true, 4, cfgs, &sharded);
+    ASSERT_EQ(sharded.cells.size(), cfgs.size());
     for (const SweepCell &cell : sharded.cells) {
         EXPECT_TRUE(cell.ok()) << cell.errorMessage;
         EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 64u);
+        EXPECT_LE(cell.decodeSeconds, cell.wallSeconds);
     }
 }
 

@@ -5,7 +5,9 @@
 #   debug            CMAKE_BUILD_TYPE=Debug           ctest
 #   release          CMAKE_BUILD_TYPE=Release         ctest
 #   relwithdebinfo   CMAKE_BUILD_TYPE=RelWithDebInfo  ctest
-#   asan-ubsan       PARAGRAPH_SANITIZE=address,undefined  ctest -L engine
+#   asan-ubsan       PARAGRAPH_SANITIZE=address,undefined  ctest -L engine,
+#                    then the core shard suite (planner and patch walk):
+#                    ctest -R '^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch)\.'
 #   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine
 #
 # Usage: tools/ci_matrix.sh [leg...]     (default: every leg, in that order)
@@ -24,12 +26,14 @@ run_leg() {
     local leg="$1"
     local -a cmake_args=(-DPARAGRAPH_WERROR=ON)
     local -a ctest_args=(--output-on-failure -j "$jobs")
+    local -a extra_ctest_args=()
     case "$leg" in
       debug)          cmake_args+=(-DCMAKE_BUILD_TYPE=Debug) ;;
       release)        cmake_args+=(-DCMAKE_BUILD_TYPE=Release) ;;
       relwithdebinfo) cmake_args+=(-DCMAKE_BUILD_TYPE=RelWithDebInfo) ;;
       asan-ubsan)     cmake_args+=(-DPARAGRAPH_SANITIZE=address,undefined)
                       ctest_args+=(-L engine)
+                      extra_ctest_args=(-R '^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch)\.')
                       # UBSan only warns by default; make a report fail
                       # its test.
                       export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" ;;
@@ -46,6 +50,11 @@ run_leg() {
     cmake --build "$dir" -j "$jobs"
     echo "=== $leg: ctest ${ctest_args[*]}"
     ctest --test-dir "$dir" "${ctest_args[@]}"
+    if [[ ${#extra_ctest_args[@]} -gt 0 ]]; then
+        echo "=== $leg: ctest ${extra_ctest_args[*]}"
+        ctest --test-dir "$dir" --output-on-failure -j "$jobs" \
+            "${extra_ctest_args[@]}"
+    fi
     echo "=== $leg: ok"
 }
 
