@@ -50,7 +50,8 @@ class CancelToken
      * Async-signal-safe cancel: only flips the atomic flag, leaving the
      * construction-time reason text in place. The CLIs' SIGINT/SIGTERM
      * handlers call this so an interrupted sweep stops at the next 32k-
-     * record poll with its journal flushed, instead of dying mid-write.
+     * record poll with its finished cells stored, instead of dying
+     * mid-write.
      */
     void
     cancelFromSignal() noexcept

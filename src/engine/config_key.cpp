@@ -2,7 +2,6 @@
 
 #include "core/branch_predictor.hpp"
 #include "support/crc32.hpp"
-#include "support/string_utils.hpp"
 
 namespace paragraph {
 namespace engine {
@@ -62,12 +61,6 @@ configKey(const core::AnalysisConfig &cfg)
 {
     std::string text = canonicalConfigText(cfg);
     return crc32Of(text.data(), text.size());
-}
-
-std::string
-configKeyHex(const core::AnalysisConfig &cfg)
-{
-    return strFormat("%08x", configKey(cfg));
 }
 
 } // namespace engine

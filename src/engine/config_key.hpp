@@ -3,8 +3,9 @@
  * Config fingerprinting: a canonical, content-addressed key for an
  * AnalysisConfig.
  *
- * The sweep journal, and the paragraph-serve result cache built on top of
- * it, need to answer "is this the same analysis?" without trusting the
+ * The result store (engine/result_store.hpp), which backs both
+ * paragraph-sweep's `--journal` and the paragraph-serve cache, needs to
+ * answer "is this the same analysis?" without trusting the
  * human-readable axis label. configKey() serializes every analysis-relevant
  * field of core::AnalysisConfig into one canonical text form (fixed field
  * order, fixed encodings, independent of how the config was constructed)
@@ -37,10 +38,6 @@ std::string canonicalConfigText(const core::AnalysisConfig &cfg);
 /** CRC-32 of canonicalConfigText(). Equal configs — however constructed —
  *  produce equal keys. */
 uint32_t configKey(const core::AnalysisConfig &cfg);
-
-/** configKey() as fixed-width lowercase hex (8 chars), the form stored in
- *  journal lines and result-store keys. */
-std::string configKeyHex(const core::AnalysisConfig &cfg);
 
 } // namespace engine
 } // namespace paragraph

@@ -218,7 +218,7 @@ exploreCellOk(const SweepCell &cell)
     if (cell.status == SweepCell::Status::Ok)
         return true;
     if (cell.status == SweepCell::Status::Skipped)
-        return cell.journalText.find("\"status\": \"ok\"") !=
+        return cell.storedJson.find("\"status\": \"ok\"") !=
                std::string::npos;
     return false;
 }
@@ -233,10 +233,10 @@ exploreCellParallelism(const SweepCell &cell)
         // the shortest round-trip form, so strtod recovers the exact
         // double a fresh analysis would report.
         static const char *anchor = "\"available_parallelism\": ";
-        size_t at = cell.journalText.find(anchor);
+        size_t at = cell.storedJson.find(anchor);
         if (at != std::string::npos)
             return std::strtod(
-                cell.journalText.c_str() + at + std::strlen(anchor),
+                cell.storedJson.c_str() + at + std::strlen(anchor),
                 nullptr);
     }
     return 0.0;

@@ -1,11 +1,11 @@
 #include "engine/sweep.hpp"
 
 #include <chrono>
+#include <memory>
 #include <utility>
 
-#include "engine/journal.hpp"
+#include "engine/result_store.hpp"
 #include "engine/scheduler.hpp"
-#include "engine/sweep_json.hpp"
 #include "support/panic.hpp"
 
 namespace paragraph {
@@ -68,46 +68,21 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
 
     SweepResult sweep;
     sweep.jobs = jobs_;
-    sweep.cells.resize(jobs.size());
 
-    std::unique_ptr<SweepJournal> journal;
-    if (!opt_.journalPath.empty()) {
-        journal = std::make_unique<SweepJournal>(opt_.journalPath,
-                                                 opt_.journalProfiles);
-    }
-    SweepJsonOptions journalOpt;
-    journalOpt.timing = false; // journaled cells must splice byte-identically
-    journalOpt.profiles = opt_.journalProfiles;
+    std::unique_ptr<ResultStore> store;
+    if (!opt_.journalPath.empty())
+        store = std::make_unique<ResultStore>(opt_.journalPath);
 
-    // Satisfy cells from the resume journal first, and collect the rest as
-    // the pending work list (pending[k] is the grid slot of submitted job k).
-    std::vector<size_t> pending;
-    std::vector<SweepJob> pendingJobs;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const JournalEntry *done =
-            opt_.resume ? opt_.resume->findOk(i, jobs[i]) : nullptr;
-        if (done) {
-            SweepCell &cell = sweep.cells[i];
-            cell.job = std::move(jobs[i]);
-            cell.status = SweepCell::Status::Skipped;
-            cell.attempts = done->attempts;
-            cell.journalText = done->cellJson;
-            ++sweep.cellsSkipped;
-        } else {
-            pending.push_back(i);
-            pendingJobs.push_back(std::move(jobs[i]));
-        }
-    }
-
-    // Warm the repository cache for every pending captured input up front,
+    // Warm the repository cache for every captured input up front,
     // serially: simulation and decompression are the parts that cannot be
     // split across cells, and doing it here (rather than lazily from the
-    // pool) keeps the workers' wall-time numbers pure analysis. Streaming
+    // pool) keeps the workers' wall-time numbers pure analysis. A store
+    // needs the capture anyway, to key the input by content. Streaming
     // inputs are skipped — their decode happens per pass, by design.
     // Failures are deliberately swallowed — a bad input surfaces as a
     // per-cell error below, where it can be attributed (and retried) per
     // cell instead of aborting the whole grid.
-    for (const SweepJob &job : pendingJobs) {
+    for (const SweepJob &job : jobs) {
         if (repo.streamingInput(job.input))
             continue;
         try {
@@ -117,25 +92,20 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     }
     sweep.captureSeconds = secondsSince(sweepStart);
 
-    // Journal + aggregate + progress bookkeeping, exactly once per cell,
-    // after its status is final. The scheduler serializes a batch's
-    // callbacks, so plain counters suffice.
-    size_t cellsDone = sweep.cellsSkipped;
+    // Aggregate + progress bookkeeping, exactly once per cell, after its
+    // status is final. resolveCells serializes the calls, so plain
+    // counters suffice.
+    const size_t cellsTotal = jobs.size();
+    size_t cellsDone = 0;
     bool progressBroken = false;
-    auto finishCell = [&](size_t k, SweepCell &cell) {
-        if (journal) {
-            std::string cellJson;
-            if (cell.status == SweepCell::Status::Ok)
-                cellJson = cellToJson(cell, journalOpt);
-            journal->record(pending[k], cell, cellJson);
-        }
+    auto finishCell = [&](const SweepCell &cell) {
         sweep.totalInstructions += cell.result.instructions;
         ++cellsDone;
         if (!opt_.progress || progressBroken)
             return;
         double elapsed = secondsSince(sweepStart);
         try {
-            opt_.progress(cellsDone, sweep.cells.size(),
+            opt_.progress(cellsDone, cellsTotal,
                           elapsed > 0.0
                               ? static_cast<double>(sweep.totalInstructions) /
                                     1e6 / elapsed
@@ -160,16 +130,18 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     schedOpt.exec.shards = opt_.shards;
     {
         SweepScheduler scheduler(repo, schedOpt);
-        auto batch = scheduler.submit(std::move(pendingJobs), finishCell);
-        batch->wait();
-        sweep.fusedGroups = batch->fusedGroups();
-        for (size_t k = 0; k < pending.size(); ++k)
-            sweep.cells[pending[k]] = std::move(batch->cells()[k]);
+        ResolvedCells resolved =
+            resolveCells(repo, store.get(), scheduler, std::move(jobs),
+                         opt_.journalProfiles, finishCell);
+        sweep.cells = std::move(resolved.cells);
+        sweep.fusedGroups = resolved.fusedGroups;
     }
 
     for (const SweepCell &cell : sweep.cells) {
         if (cell.status == SweepCell::Status::Failed)
             ++sweep.cellsFailed;
+        else if (cell.status == SweepCell::Status::Skipped)
+            ++sweep.cellsSkipped;
     }
     sweep.wallSeconds = secondsSince(sweepStart);
     sweep.aggregateMinstrPerSec =

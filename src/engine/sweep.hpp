@@ -7,17 +7,20 @@
  * DECstation 3100" per point), Table 4 crosses renaming switches with
  * benchmarks. Each grid cell is one independent core::Paragraph::analyze
  * run. The engine is a thin client of the one execution pool
- * (engine/scheduler.hpp): it satisfies resumed cells from the journal,
- * captures every pending input once, serially, into shared immutable
- * buffers (TraceRepository), then submits the rest of the grid to a
- * private SweepScheduler with Options::jobs workers and waits. The
- * scheduler groups cells by input into fused block-major passes
- * (core::analyzeManyGuarded; Options::groupSize, 0 = auto), gates
- * concurrent private decoders per streamed input, and runs each cell's
- * attempts. Every core::Paragraph is thread-private, so workers share no
- * mutable analysis state. Results are stored by grid position, making
- * sweep output independent of worker count, grouping, and completion
- * order (a tested invariant).
+ * (engine/scheduler.hpp): it captures every input that is not streamed
+ * once, serially, into shared immutable buffers (TraceRepository), then
+ * resolves the grid
+ * through resolveCells() (engine/result_store.hpp) on a private
+ * SweepScheduler with Options::jobs workers and waits. With a result store
+ * (Options::journalPath) finished cells are served from it and every new
+ * Ok cell is stored as it completes, so rerunning an interrupted sweep
+ * redoes only what never finished. The scheduler groups cells by input
+ * into fused block-major passes (core::analyzeManyGuarded;
+ * Options::groupSize, 0 = auto), gates concurrent private decoders per
+ * streamed input, and runs each cell's attempts. Every core::Paragraph is
+ * thread-private, so workers share no mutable analysis state. Results are
+ * stored by grid position, making sweep output independent of worker
+ * count, grouping, and completion order (a tested invariant).
  *
  * Cells are fault-isolated: a cell whose capture or analysis throws is
  * recorded as SweepCell::Status::Failed with its error text, and the rest
@@ -25,12 +28,10 @@
  * benchmark must not void a night of compute. Fusion never weakens that
  * isolation: a cell whose engine throws mid-group is demoted to a solo
  * re-run through the ordinary per-cell attempts loop (the demotion itself
- * consumes no attempt), so retries, journaling, and resume semantics are
- * byte-identical to an ungrouped sweep. Failed attempts can be retried
- * (Options::maxRetries), runaway cells cut off by a cooperative per-cell
- * deadline (Options::cellDeadlineSeconds), and completed cells journaled
- * to a JSONL checkpoint file (Options::journalPath) so an interrupted
- * sweep resumes without redoing finished work.
+ * consumes no attempt), so retries and stored cells are byte-identical to
+ * an ungrouped sweep's. Failed attempts can be retried
+ * (Options::maxRetries), and runaway cells cut off by a cooperative
+ * per-cell deadline (Options::cellDeadlineSeconds).
  */
 
 #ifndef PARAGRAPH_ENGINE_SWEEP_HPP
@@ -46,8 +47,6 @@
 
 namespace paragraph {
 namespace engine {
-
-struct JournalData;
 
 /** One grid cell: analyze @p input under @p config. */
 struct SweepJob
@@ -66,8 +65,8 @@ struct SweepCell
      * Ok: analysis ran to completion and `result` is valid.
      * Failed: every attempt threw; `errorMessage` holds the last error and
      *         `result` is empty.
-     * Skipped: satisfied from a resume journal without re-running;
-     *          `journalText` holds the journaled cell JSON.
+     * Skipped: served from the result store without re-running;
+     *          `storedJson` holds the stored cell JSON.
      */
     enum class Status { Ok, Failed, Skipped };
 
@@ -82,8 +81,9 @@ struct SweepCell
     /** Analysis attempts consumed (1 unless retries were needed). */
     unsigned attempts = 1;
 
-    /** Pre-rendered cell JSON from the journal (status == Skipped only). */
-    std::string journalText;
+    /** Pre-rendered cell JSON from the result store, rebound to this
+     *  cell's grid coordinates (status == Skipped only). */
+    std::string storedJson;
 
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;
@@ -120,7 +120,7 @@ struct SweepResult
     /** Cells whose every attempt failed (error or deadline). */
     size_t cellsFailed = 0;
 
-    /** Cells satisfied from the resume journal without re-running. */
+    /** Cells served from the result store without re-running. */
     size_t cellsSkipped = 0;
 
     /** Worker threads the sweep ran on. */
@@ -194,17 +194,16 @@ class SweepEngine
          *  pooled `.ptrc` inputs and shared captures alike; 1 = off. */
         unsigned shards = 1;
 
-        /** Append one JSONL line per completed cell to this file (plus a
-         *  header line when the file is new). Empty = no journal. */
+        /** Result store (engine/result_store.hpp) to resolve cells
+         *  through, opened or created: cells it holds are served without
+         *  re-running, and each new Ok cell is stored as it completes, so
+         *  rerunning an interrupted grid resumes it. Empty = no store. */
         std::string journalPath;
 
-        /** Include profile buckets in journaled cell JSON. Must match the
-         *  profiles setting of the final report for resume splicing. */
+        /** Render stored cells with profile buckets. Part of the store
+         *  key; must match the final report's profiles setting for the
+         *  served cells to splice into it. */
         bool journalProfiles = true;
-
-        /** Cells already completed in a previous run: matching ok entries
-         *  are skipped and their journaled JSON reused. Not owned. */
-        const JournalData *resume = nullptr;
 
         /** Optional progress observer (never called concurrently). */
         SweepProgressFn progress;

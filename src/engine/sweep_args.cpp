@@ -136,8 +136,6 @@ parseSweepArgs(const std::vector<std::string> &args, SweepArgs &opt,
             }
         } else if (startsWith(arg, "--journal=")) {
             opt.journalPath = arg.substr(10);
-        } else if (startsWith(arg, "--resume=")) {
-            opt.resumePath = arg.substr(9);
         } else if (arg == "--explore") {
             opt.explore = true;
         } else if (startsWith(arg, "--knee-tol=")) {

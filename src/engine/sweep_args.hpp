@@ -46,8 +46,7 @@ struct SweepArgs
     double kneeTol = 0.0;       ///< --knee-tol: parallelism tolerance for
                                 ///< window-knee bracket collapse (0 = exact)
     std::string outPath;
-    std::string journalPath;
-    std::string resumePath;
+    std::string journalPath; ///< --journal: result store to resolve through
     SweepJsonOptions json;
 };
 

@@ -105,12 +105,12 @@ void
 writeCell(std::ostream &os, const SweepCell &cell,
           const SweepJsonOptions &opt)
 {
-    // Cells satisfied from a resume journal carry their original rendering;
+    // Cells served from the result store carry their original rendering;
     // splicing it verbatim is what makes a resumed document byte-identical
     // to an uninterrupted run's.
     if (cell.status == SweepCell::Status::Skipped &&
-        !cell.journalText.empty()) {
-        os << cell.journalText;
+        !cell.storedJson.empty()) {
+        os << cell.storedJson;
         return;
     }
 

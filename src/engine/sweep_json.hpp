@@ -32,7 +32,7 @@ struct SweepJsonOptions
 
     /** Break each cell's wall time into decode vs analyze shares and
      *  report shard-segment counts (inside "timing", so `timing = false`
-     *  documents stay deterministic and journal splicing is unaffected). */
+     *  documents stay deterministic and store splicing is unaffected). */
     bool stats = false;
 };
 
@@ -42,8 +42,8 @@ void writeSweepJson(std::ostream &os, const SweepResult &sweep,
 
 /**
  * Render one cell exactly as it appears inside the "cells" array. The
- * checkpoint journal stores this text so a resumed sweep can splice it
- * back verbatim (byte-identical to an uninterrupted run).
+ * result store keeps this text so a later sweep can splice it back
+ * verbatim (byte-identical to an uninterrupted run).
  */
 std::string cellToJson(const SweepCell &cell, const SweepJsonOptions &opt);
 

@@ -196,18 +196,24 @@ TraceRepository::traceCrc(const std::string &spec)
     }
     // Compute outside the lock: the CRC pass over a large capture must not
     // stall every other worker's get().
-    std::shared_ptr<const trace::TraceBuffer> buffer;
-    if (streamingInput(spec)) {
+    uint32_t crc;
+    std::shared_ptr<trace::SharedDecodePool> pool = decodePool(spec);
+    if (pool && pool->file().formatVersion() >= 2 &&
+        pool->recordCount() == pool->file().recordCount()) {
+        // An uncapped v2 pool verified its whole payload against the
+        // header's CRC when it opened: that stored value *is* the CRC of
+        // the packed records, so there is nothing left to compute.
+        crc = pool->file().storedPayloadCrc();
+    } else if (streamingInput(spec)) {
         // A streamed input is never resident; CRC it through a one-off
         // bounded capture so the value matches the captured form exactly.
-        auto tmp = std::make_shared<trace::TraceBuffer>();
+        trace::TraceBuffer tmp;
         std::unique_ptr<trace::TraceSource> src = makeSource(spec);
-        tmp->capture(*src, opt_.maxRecords);
-        buffer = std::move(tmp);
+        tmp.capture(*src, opt_.maxRecords);
+        crc = trace::traceBufferCrc(tmp);
     } else {
-        buffer = get(spec);
+        crc = trace::traceBufferCrc(*get(spec));
     }
-    uint32_t crc = trace::traceBufferCrc(*buffer);
     std::lock_guard<std::mutex> lock(mutex_);
     crcs_.emplace(spec, crc);
     return crc;

@@ -160,9 +160,11 @@ class TraceRepository
     std::shared_ptr<trace::SharedDecodePool>
     decodePool(const std::string &spec);
 
-    /** CRC-32 of @p spec's records in packed on-disk form (capturing the
-     *  input on first request). Remembered per spec even after the capture
-     *  itself is evicted. */
+    /** CRC-32 of @p spec's records in packed on-disk form. An uncapped v2
+     *  `.ptrc` served by a decode pool answers with the payload CRC the
+     *  pool verified when it opened; any other input is captured (a
+     *  streamed one into a temporary buffer) and CRC'd on first request.
+     *  Remembered per spec even after the capture itself is evicted. */
     uint32_t traceCrc(const std::string &spec);
 
     /** Drop the cached capture for @p spec (in-flight sources keep theirs;

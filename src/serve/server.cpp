@@ -2,8 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
-#include <optional>
 #include <utility>
 
 #include <poll.h>
@@ -11,7 +9,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "engine/config_key.hpp"
 #include "engine/explorer.hpp"
 #include "engine/sweep_json.hpp"
 #include "support/failpoint.hpp"
@@ -88,30 +85,6 @@ syncPolicyName(SyncPolicy policy)
         return "cell";
     }
     return "none";
-}
-
-/**
- * Rewrite the "input_index"/"config_index" fields of a stored cell
- * fragment to this grid's coordinates. The newline-anchored patterns are
- * unambiguous: JSON strings never contain a raw newline, so the anchors
- * can only match the fields writeCell itself rendered.
- */
-void
-rebindSpliceIndices(std::string &cellJson, size_t inputIndex,
-                    size_t configIndex)
-{
-    auto rewrite = [&cellJson](const char *anchor, size_t value) {
-        size_t at = cellJson.find(anchor);
-        if (at == std::string::npos)
-            return;
-        size_t start = at + std::strlen(anchor);
-        size_t end = cellJson.find_first_not_of("0123456789", start);
-        if (end == std::string::npos)
-            return;
-        cellJson.replace(start, end - start, std::to_string(value));
-    };
-    rewrite("\n      \"input_index\": ", inputIndex);
-    rewrite("\n      \"config_index\": ", configIndex);
 }
 
 /** Daemon documents and stored cells: no timing, so a stored fragment
@@ -416,69 +389,11 @@ ServeServer::handleRequestLine(const std::string &line, bool &shutdown)
 std::vector<engine::SweepCell>
 ServeServer::resolveJobs(std::vector<engine::SweepJob> jobs, bool profiles)
 {
-    const engine::SweepJsonOptions jsonOpt = jsonOptions(profiles);
-
-    std::vector<engine::SweepCell> cells(jobs.size());
-    std::vector<engine::SweepJob> misses;
-    std::vector<size_t> missAt; // job position per submitted miss
-    // Content address per miss; empty when the input's CRC is unavailable
-    // (an unknown or broken input is uncacheable, and the scheduler's
-    // per-cell attempts loop will attribute its error per cell).
-    std::vector<std::optional<ResultKey>> missKey;
-    std::map<std::string, std::optional<uint32_t>> traceCrcs;
-    for (size_t k = 0; k < jobs.size(); ++k) {
-        engine::SweepJob &job = jobs[k];
+    for (engine::SweepJob &job : jobs)
         job.config.cancel = &cancel_;
-        auto [crc, fresh] = traceCrcs.try_emplace(job.input);
-        if (fresh) {
-            try {
-                crc->second = repo_.traceCrc(job.input);
-            } catch (const std::exception &) {
-            }
-        }
-        std::optional<ResultKey> key;
-        if (crc->second) {
-            key.emplace();
-            key->traceCrc = *crc->second;
-            // The key is the *analysis* config's fingerprint — the cancel
-            // pointer is excluded from the canonical text.
-            key->configKey = engine::configKey(job.config);
-            key->profiles = profiles;
-            std::string cellJson;
-            if (store_ && store_->lookup(*key, cellJson)) {
-                // The fragment is shared across grids by content address,
-                // but its index fields belong to whichever request
-                // computed it first: rebind them to this job's coordinates
-                // so the spliced document stays byte-identical to a fresh
-                // computation.
-                rebindSpliceIndices(cellJson, job.inputIndex,
-                                    job.configIndex);
-                cells[k].job = std::move(job);
-                cells[k].status = engine::SweepCell::Status::Skipped;
-                cells[k].journalText = std::move(cellJson);
-                continue;
-            }
-        }
-        missAt.push_back(k);
-        missKey.push_back(std::move(key));
-        misses.push_back(std::move(job));
-    }
-    if (misses.empty())
-        return cells;
-
-    // Store each Ok cell the moment it is final: a client that disconnects
-    // (or a daemon killed later) never loses cells that completed. The
-    // callback runs on worker threads; ResultStore serializes internally.
-    auto batch = scheduler_->submit(
-        std::move(misses), [&](size_t m, engine::SweepCell &cell) {
-            if (cell.status == engine::SweepCell::Status::Ok && store_ &&
-                missKey[m])
-                store_->insert(*missKey[m], cellToJson(cell, jsonOpt));
-        });
-    batch->wait();
-    for (size_t m = 0; m < missAt.size(); ++m)
-        cells[missAt[m]] = std::move(batch->cells()[m]);
-    return cells;
+    return engine::resolveCells(repo_, store_.get(), *scheduler_,
+                                std::move(jobs), profiles)
+        .cells;
 }
 
 std::string

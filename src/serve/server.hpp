@@ -11,12 +11,13 @@
  * but all actual analysis flows through the one scheduler, so two clients
  * sweeping the same trace fuse into shared passes.
  *
- * A sweep request is resolved cell by cell: compute the content address
- * (trace CRC + config key + profiles flag), serve store hits as journal-
- * style splices, submit only the misses, store every newly-Ok cell as it
- * completes (so a client that disconnects mid-job still leaves its
- * finished cells behind for the next asker), and render the document with
- * the same writer paragraph-sweep uses. Shutdown (client op, SIGINT, or
+ * A sweep request is resolved cell by cell through engine::resolveCells,
+ * the path paragraph-sweep uses too: compute the content address (trace
+ * CRC + config key + profiles flag), serve store hits as splices, submit
+ * only the misses, store every newly-Ok cell as it completes (so a client
+ * that disconnects mid-job still leaves its finished cells behind for the
+ * next asker), and render the document with the same writer
+ * paragraph-sweep uses. Shutdown (client op, SIGINT, or
  * SIGTERM) is graceful: in-flight analyses are cancelled at their next
  * checkpoint, queued cells fail fast, and the store's append-per-cell
  * discipline means a restart re-serves everything that ever finished.
@@ -139,13 +140,8 @@ class ServeServer
     std::string handleRequestLine(const std::string &line, bool &shutdown);
     std::string handleSweep(const ServeRequest &req);
 
-    /**
-     * Run @p jobs through the result store and the scheduler: each job is
-     * resolved by content address (trace CRC + config key + @p profiles);
-     * hits come back Skipped with their stored fragment rebound to the
-     * job's grid coordinates, misses are submitted, and every miss that
-     * finishes Ok is stored as soon as it is final. Cells in job order.
-     */
+    /** engine::resolveCells over the daemon's store and scheduler, with
+     *  every job under the daemon's cancel token. Cells in job order. */
     std::vector<engine::SweepCell> resolveJobs(
         std::vector<engine::SweepJob> jobs, bool profiles);
 

@@ -2,13 +2,14 @@
  * @file
  * JsonLineParser: a strict scanner for one line of flat JSON.
  *
- * Shared by the sweep journal, the paragraph-serve result store, and the
- * serve wire protocol — all of which exchange newline-delimited JSON
- * objects whose values are strings, unsigned integers, booleans, or flat
- * arrays of strings/integers. The parser is deliberately strict about that
- * subset (no nesting, no floats, no trailing bytes): any line damaged by a
- * crash or a torn write fails to parse as a whole and is skipped by its
- * loader, instead of yielding garbage field values.
+ * Shared by the result store (paragraph-sweep `--journal` and the
+ * paragraph-serve cache) and the serve wire protocol — both of which
+ * exchange newline-delimited JSON objects whose values are strings,
+ * unsigned integers, booleans, or flat arrays of strings/integers. The
+ * parser is deliberately strict about that subset (no nesting, no floats,
+ * no trailing bytes): any line damaged by a crash or a torn write fails to
+ * parse as a whole and is skipped by its loader, instead of yielding
+ * garbage field values.
  */
 
 #ifndef PARAGRAPH_SUPPORT_JSON_LINE_HPP

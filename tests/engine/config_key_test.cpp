@@ -1,10 +1,11 @@
 // Config fingerprinting (engine/config_key.hpp): the canonical text and
-// CRC-32 key that content-address analysis configs in the sweep journal and
-// the paragraph-serve result store. The key must be stable run to run,
-// sensitive to every semantic field, and collision-free across the config
-// shapes the project actually sweeps.
+// CRC-32 key that content-address analysis configs in the result store
+// behind paragraph-sweep --journal and paragraph-serve. The key must be
+// stable run to run, sensitive to every semantic field, and collision-free
+// across the config shapes the project actually sweeps.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "core/cancel_token.hpp"
 #include "core/config.hpp"
 #include "engine/config_key.hpp"
-#include "engine/journal.hpp"
 #include "engine/sweep.hpp"
 
 using namespace paragraph;
@@ -26,8 +26,6 @@ TEST(ConfigKey, IsDeterministicAndVersioned)
         << "canonical text must lead with its format version";
     EXPECT_EQ(text, engine::canonicalConfigText(cfg));
     EXPECT_EQ(engine::configKey(cfg), engine::configKey(cfg));
-    EXPECT_EQ(engine::configKeyHex(cfg), engine::configKeyHex(cfg));
-    EXPECT_EQ(engine::configKeyHex(cfg).size(), 8u);
 }
 
 TEST(ConfigKey, CancelTokenIsNotPartOfTheIdentity)
@@ -167,34 +165,37 @@ TEST(ConfigKey, FuzzOracleMatrixIsCollisionFree)
 TEST(ConfigKey, JournalEntriesMatchOnFingerprintNotJustLabel)
 {
     // Two different configs can share a label (labels elide axes at their
-    // defaults); the journal must refuse to splice a cell whose recorded
-    // fingerprint disagrees with the job it is asked to satisfy.
+    // defaults); the result store behind --journal must never serve a cell
+    // whose config fingerprint disagrees with the job it is asked to
+    // satisfy.
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "para_config_key_store.jsonl")
+                           .string();
+    std::filesystem::remove(path);
+
     engine::SweepJob job;
     job.input = "xlisp";
     job.configLabel = "window=16";
     job.config.windowSize = 16;
+    job.config.maxInstructions = 2000;
 
-    engine::JournalEntry entry;
-    entry.index = 0;
-    entry.input = "xlisp";
-    entry.configLabel = "window=16";
-    entry.status = "ok";
-    entry.cellJson = "{}";
+    engine::SweepEngine::Options opt;
+    opt.journalPath = path;
+    auto run = [&opt](const engine::SweepJob &j) {
+        engine::TraceRepository::Options ro;
+        ro.scale = workloads::Scale::Small;
+        engine::TraceRepository repo(ro);
+        return engine::SweepEngine(opt).runJobs(repo, {j});
+    };
+    EXPECT_EQ(run(job).cellsSkipped, 0u);
+    EXPECT_EQ(run(job).cellsSkipped, 1u);
 
-    engine::JournalData data;
-
-    // A pre-fingerprint entry (no config_key) still matches by position,
-    // input, and label — old journals stay resumable.
-    data.entries[0] = entry;
-    EXPECT_NE(data.findOk(0, job), nullptr);
-
-    // The right fingerprint matches; a wrong one is rejected even though
-    // every other field agrees.
-    entry.configKey = engine::configKeyHex(job.config);
-    data.entries[0] = entry;
-    EXPECT_NE(data.findOk(0, job), nullptr);
-
+    // Same input, same label, different analysis: a miss, computed fresh.
     engine::SweepJob other = job;
     other.config.sysCallsStall = !other.config.sysCallsStall;
-    EXPECT_EQ(data.findOk(0, other), nullptr);
+    engine::SweepResult r = run(other);
+    EXPECT_EQ(r.cellsSkipped, 0u);
+    ASSERT_EQ(r.cells.size(), 1u);
+    EXPECT_EQ(r.cells[0].status, engine::SweepCell::Status::Ok);
+    std::filesystem::remove(path);
 }

@@ -1,8 +1,8 @@
 // Fault-tolerance tests for the sweep engine: per-cell isolation (one bad
 // input or poisoned config never voids the grid), retry and deadline
-// semantics, progress-callback containment, and checkpoint/resume via the
-// JSONL journal — including the byte-identity guarantee that a resumed
-// sweep's JSON equals an uninterrupted run's.
+// semantics, progress-callback containment, and checkpoint/resume through
+// the result store (`--journal`) — including the byte-identity guarantee
+// that a resumed sweep's JSON equals an uninterrupted run's.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,10 +15,11 @@
 #include <vector>
 
 #include "core/cancel_token.hpp"
-#include "engine/journal.hpp"
+#include "engine/result_store.hpp"
 #include "engine/sweep.hpp"
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
+#include "support/failpoint.hpp"
 #include "support/panic.hpp"
 
 using namespace paragraph;
@@ -256,9 +257,9 @@ TEST(SweepFaults, FusedSweepJsonMatchesUngroupedSweep)
 
 TEST(SweepJournalTest, FusedSweepJournalResumeMatchesSoloDocument)
 {
-    // Journaling and resume are per-cell even when cells run fused: a
-    // fused sweep's journal resumes into the same document an ungrouped
-    // sweep produces.
+    // Storing and serving are per-cell even when cells run fused: a fused
+    // sweep's store resumes into the same document an ungrouped sweep
+    // produces.
     std::string journalPath = tempPath("para_fault_fused_journal.jsonl");
     std::remove(journalPath.c_str());
 
@@ -270,22 +271,18 @@ TEST(SweepJournalTest, FusedSweepJournalResumeMatchesSoloDocument)
     SweepResult soloRun = SweepEngine(solo).run(repoSolo, inputs,
                                                 fourConfigs(), fourLabels());
 
+    SweepEngine::Options fused;
+    fused.groupSize = 4;
+    fused.journalPath = journalPath;
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.groupSize = 4;
-    first.journalPath = journalPath;
-    SweepResult run1 = SweepEngine(first).run(repo1, inputs, fourConfigs(),
+    SweepResult run1 = SweepEngine(fused).run(repo1, inputs, fourConfigs(),
                                               fourLabels());
     EXPECT_EQ(sweepToJson(run1, noTiming()), sweepToJson(soloRun, noTiming()));
+    EXPECT_EQ(ResultStore(journalPath).entries(), 8u); // ok cells only
 
-    JournalData journal = loadJournal(journalPath);
-    EXPECT_EQ(journal.entries.size(), 12u);
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.groupSize = 4;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, inputs, fourConfigs(),
-                                               fourLabels());
+    SweepResult run2 = SweepEngine(fused).run(repo2, inputs, fourConfigs(),
+                                              fourLabels());
     EXPECT_EQ(run2.cellsSkipped, 8u);
     EXPECT_EQ(run2.cellsFailed, 4u);
     EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(soloRun, noTiming()));
@@ -299,30 +296,26 @@ TEST(SweepJournalTest, ResumeSkipsOkCellsAndReproducesTheDocument)
     std::remove(journalPath.c_str());
 
     std::vector<std::string> inputs = {"xlisp", badInput, "matrix300"};
+    SweepEngine::Options opt;
+    opt.journalPath = journalPath;
 
-    // First (interrupted-equivalent) run: journal everything, bad input
+    // First (interrupted-equivalent) run: store every ok cell, bad input
     // fails its row.
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepResult run1 = SweepEngine(first).run(repo1, inputs, fourConfigs(),
-                                              fourLabels());
+    SweepResult run1 = SweepEngine(opt).run(repo1, inputs, fourConfigs(),
+                                            fourLabels());
     EXPECT_EQ(run1.cellsFailed, 4u);
     EXPECT_EQ(run1.cellsSkipped, 0u);
 
-    // Resume from the journal: only the failed cells may re-run.
-    JournalData journal = loadJournal(journalPath);
-    EXPECT_EQ(journal.entries.size(), 12u);
+    // Rerun on the same store: only the failed cells may re-run.
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, inputs, fourConfigs(),
-                                               fourLabels());
+    SweepResult run2 = SweepEngine(opt).run(repo2, inputs, fourConfigs(),
+                                            fourLabels());
     EXPECT_EQ(run2.cellsSkipped, 8u);
     EXPECT_EQ(run2.cellsFailed, 4u);
 
     // The resumed document must be byte-identical to the full run's
-    // (timing excluded: journaled cells carry none).
+    // (timing excluded: stored cells carry none).
     EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(run1, noTiming()));
 
     std::remove(journalPath.c_str());
@@ -333,18 +326,15 @@ TEST(SweepJournalTest, JournalMismatchedGridIsNotResumed)
     std::string journalPath = tempPath("para_fault_mismatch.jsonl");
     std::remove(journalPath.c_str());
 
+    SweepEngine::Options opt;
+    opt.journalPath = journalPath;
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepEngine(first).run(repo1, {"xlisp"}, fourConfigs(), fourLabels());
+    SweepEngine(opt).run(repo1, {"xlisp"}, fourConfigs(), fourLabels());
 
-    // Same cell indices, different input: nothing may be skipped.
-    JournalData journal = loadJournal(journalPath);
+    // Same cell indices, different input: nothing may be served.
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, {"matrix300"},
-                                               fourConfigs(), fourLabels());
+    SweepResult run2 = SweepEngine(opt).run(repo2, {"matrix300"},
+                                            fourConfigs(), fourLabels());
     EXPECT_EQ(run2.cellsSkipped, 0u);
     for (const SweepCell &cell : run2.cells)
         EXPECT_EQ(cell.status, SweepCell::Status::Ok);
@@ -357,62 +347,56 @@ TEST(SweepJournalTest, TruncatedJournalLinesAreSkippedNotFatal)
     std::string journalPath = tempPath("para_fault_torn.jsonl");
     std::remove(journalPath.c_str());
 
+    SweepEngine::Options opt;
+    opt.journalPath = journalPath;
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepEngine(first).run(repo1, {"xlisp"}, fourConfigs(), fourLabels());
+    SweepResult run1 = SweepEngine(opt).run(repo1, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
 
     // Simulate a crash mid-append: chop the tail off the last line, which
     // is far longer than 10 bytes, so it can no longer parse.
     std::uintmax_t size = std::filesystem::file_size(journalPath);
     std::filesystem::resize_file(journalPath, size - 10);
 
-    JournalData journal = loadJournal(journalPath);
-    EXPECT_EQ(journal.entries.size(), 3u);
-
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, {"xlisp"},
-                                               fourConfigs(), fourLabels());
-    EXPECT_EQ(run2.cellsSkipped, journal.entries.size());
+    SweepResult run2 = SweepEngine(opt).run(repo2, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
+    EXPECT_EQ(run2.cellsSkipped, 3u);
     EXPECT_EQ(run2.cellsFailed, 0u);
+    EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(run1, noTiming()));
+
+    std::remove(journalPath.c_str());
 }
 
 TEST(SweepJournalTest, TrailingGarbageAfterValidEntriesIsSkipped)
 {
     // A crash can leave anything after the last good line: binary junk,
     // torn JSON, or well-formed objects missing required fields. None of
-    // it may void the entries already journaled.
+    // it may void the entries already stored.
     std::string journalPath = tempPath("para_fault_garbage.jsonl");
     std::remove(journalPath.c_str());
 
+    SweepEngine::Options opt;
+    opt.journalPath = journalPath;
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepResult run1 = SweepEngine(first).run(repo1, {"xlisp"},
-                                              fourConfigs(), fourLabels());
+    SweepResult run1 = SweepEngine(opt).run(repo1, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
 
     {
         std::ofstream out(journalPath, std::ios::app | std::ios::binary);
-        out << "{\"index\": 7, \"input\": \"xl";          // torn mid-write
+        out << "{\"trace_crc\": 7, \"config_key\": 1";   // torn mid-write
         out << std::string("\x00\xff\x01garbage\x7f", 12) // binary junk
             << "\n";
         out << "not json at all\n";
-        out << "{\"index\": 9}\n";  // parses, but fields are missing
-        out << "{\"index\": 1, \"input\": \"xlisp\", \"config_label\": "
-               "\"w64\", \"status\": \"maybe\"}\n"; // unknown status
+        out << "{\"trace_crc\": 9}\n"; // parses, but fields are missing
+        out << "{\"trace_crc\": 1, \"config_key\": 2, \"profiles\": "
+               "\"maybe\", \"cell\": \"{}\"}\n"; // wrong field type
         out << "\n"; // blank lines are fine anywhere
     }
 
-    JournalData journal = loadJournal(journalPath);
-    EXPECT_EQ(journal.entries.size(), 4u);
-
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, {"xlisp"},
-                                               fourConfigs(), fourLabels());
+    SweepResult run2 = SweepEngine(opt).run(repo2, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
     EXPECT_EQ(run2.cellsSkipped, 4u);
     EXPECT_EQ(run2.cellsFailed, 0u);
     EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(run1, noTiming()));
@@ -420,84 +404,60 @@ TEST(SweepJournalTest, TrailingGarbageAfterValidEntriesIsSkipped)
     std::remove(journalPath.c_str());
 }
 
-TEST(SweepJournalTest, InterleavedFailedLineDemotesItsCellOnly)
+TEST(SweepJournalTest, StoreAppendFailureWarnsAndTheSweepCompletes)
 {
-    // Re-running with the same --journal file accumulates lines, so a cell
-    // can appear more than once. The LAST entry per index wins: an ok cell
-    // later journaled as failed must re-run on resume, its neighbours must
-    // not, and a failed entry must never be spliced into the document.
-    std::string journalPath = tempPath("para_fault_interleave.jsonl");
+    // Losing a checkpoint must not fail the sweep: a failed append turns
+    // storing off for the rest of the run with a warning, every cell still
+    // completes, and a rerun recomputes what was never stored.
+    std::string journalPath = tempPath("para_fault_append.jsonl");
     std::remove(journalPath.c_str());
 
+    SweepEngine::Options opt;
+    opt.journalPath = journalPath;
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("store.append.fail=once", error))
+        << error;
     TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepResult run1 = SweepEngine(first).run(repo1, {"xlisp"},
-                                              fourConfigs(), fourLabels());
+    SweepResult run1 = SweepEngine(opt).run(repo1, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
+    failpoint::reset();
     EXPECT_EQ(run1.cellsFailed, 0u);
-
-    {
-        std::ofstream out(journalPath, std::ios::app);
-        out << "{\"index\": 2, \"input\": \"xlisp\", \"config_label\": "
-               "\"w256\", \"status\": \"failed\", \"attempts\": 3, "
-               "\"error\": \"simulated crash\"}\n";
-    }
-
-    JournalData journal = loadJournal(journalPath);
-    ASSERT_EQ(journal.entries.size(), 4u);
-    EXPECT_EQ(journal.entries.at(2).status, "failed");
-    EXPECT_EQ(journal.entries.at(2).attempts, 3u);
-    EXPECT_EQ(journal.entries.at(2).error, "simulated crash");
+    EXPECT_EQ(ResultStore(journalPath).entries(), 0u);
 
     TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(repo2, {"xlisp"},
-                                               fourConfigs(), fourLabels());
-    EXPECT_EQ(run2.cellsSkipped, 3u);
-    EXPECT_EQ(run2.cellsFailed, 0u); // the demoted cell re-ran and passed
-    EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(run1, noTiming()));
-
-    std::remove(journalPath.c_str());
-}
-
-TEST(SweepJournalTest, OkLineForTheWrongGridPositionIsNotSpliced)
-{
-    // findOk matches on (index, input, config label) — an ok entry whose
-    // label disagrees with the requested grid must not satisfy the cell,
-    // even though its index does.
-    std::string journalPath = tempPath("para_fault_wrongpos.jsonl");
-    std::remove(journalPath.c_str());
-
-    TraceRepository repo1(smallScale());
-    SweepEngine::Options first;
-    first.journalPath = journalPath;
-    SweepEngine(first).run(repo1, {"xlisp"}, fourConfigs(), fourLabels());
-
-    JournalData journal = loadJournal(journalPath);
-    ASSERT_EQ(journal.entries.size(), 4u);
-
-    // Same grid, different labels: indices line up, labels do not.
-    TraceRepository repo2(smallScale());
-    SweepEngine::Options second;
-    second.resume = &journal;
-    SweepResult run2 = SweepEngine(second).run(
-        repo2, {"xlisp"}, fourConfigs(), {"a16", "a64", "a256", "ainf"});
+    SweepResult run2 = SweepEngine(opt).run(repo2, {"xlisp"}, fourConfigs(),
+                                            fourLabels());
     EXPECT_EQ(run2.cellsSkipped, 0u);
-    for (const SweepCell &cell : run2.cells)
-        EXPECT_EQ(cell.status, SweepCell::Status::Ok);
+    EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(run1, noTiming()));
 
     std::remove(journalPath.c_str());
 }
 
 TEST(SweepJournalTest, NotAJournalIsFatal)
 {
+    // Anything but a result store is refused with the file's name in the
+    // error — including a line-per-grid-index journal from before the
+    // store was the one persistence format.
     std::string path = tempPath("para_fault_notjournal.jsonl");
-    {
-        std::ofstream out(path);
-        out << "{\"schema\": \"something-else\"}\n";
+    for (const char *header :
+         {"{\"schema\": \"something-else\"}\n",
+          "{\"schema\": \"paragraph-sweep-journal-v1\", \"profiles\": "
+          "true}\n"}) {
+        {
+            std::ofstream out(path);
+            out << header;
+        }
+        SweepEngine::Options opt;
+        opt.journalPath = path;
+        TraceRepository repo(smallScale());
+        try {
+            SweepEngine(opt).run(repo, {"xlisp"}, fourConfigs(), fourLabels());
+            ADD_FAILURE() << "expected FatalError for " << header;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
     }
-    EXPECT_THROW(loadJournal(path), FatalError);
     std::remove(path.c_str());
 }
 
@@ -534,9 +494,9 @@ TEST(SweepCliFaults, FaultySweepExitsZeroAndResumeReproducesIt)
     EXPECT_NE(faulty.find("\"cells_failed\": 4"), std::string::npos);
     EXPECT_NE(faulty.find("unknown workload"), std::string::npos);
 
-    // Resuming from the journal reproduces the document byte-for-byte.
+    // Rerunning on the same store reproduces the document byte-for-byte.
     status = runCmd(base + " --inputs=xlisp," + badInput +
-                    ",matrix300 --resume=" + journal +
+                    ",matrix300 --journal=" + journal +
                     " --out=" + resumedOut + " 2>/dev/null");
     ASSERT_EQ(status, 0);
     EXPECT_EQ(slurp(resumedOut), faulty);

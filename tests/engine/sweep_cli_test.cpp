@@ -34,9 +34,9 @@ struct CliResult
 };
 
 CliResult
-runSweep(const std::string &args)
+runSweep(const std::string &args, const std::string &stderrPath = "/dev/null")
 {
-    std::string cmd = sweepCliPath() + " " + args + " 2>/dev/null";
+    std::string cmd = sweepCliPath() + " " + args + " 2>" + stderrPath;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -45,6 +45,21 @@ runSweep(const std::string &args)
         out += buf;
     int status = pclose(pipe);
     return CliResult{status, out};
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
+}
+
+std::string
+goldenTrace(const std::string &name)
+{
+    return std::string(PARAGRAPH_GOLDEN_DIR) + "/" + name;
 }
 
 } // namespace
@@ -110,7 +125,7 @@ TEST(SweepCli, WritesToAFile)
 TEST(SweepCli, SigintFlushesTheJournalAndExits130)
 {
     // The graceful-interrupt contract: SIGINT mid-sweep cancels in-flight
-    // cells cooperatively, still writes the (partial) document and journal,
+    // cells cooperatively, still writes the (partial) document and store,
     // and exits with the shell's death-by-SIGINT status, 128 + 2. The grid
     // is big and serial on purpose so the signal always lands mid-run.
     namespace fs = std::filesystem;
@@ -144,12 +159,12 @@ TEST(SweepCli, SigintFlushesTheJournalAndExits130)
     ASSERT_TRUE(WIFEXITED(status)) << "died by signal instead of handling it";
     EXPECT_EQ(WEXITSTATUS(status), 128 + SIGINT);
 
-    // Journal and document were flushed on the way out.
+    // The store and the document were written on the way out.
     std::ifstream jin(journal);
     ASSERT_TRUE(jin.good());
     std::string header;
     std::getline(jin, header);
-    EXPECT_NE(header.find("paragraph-sweep-journal-v1"), std::string::npos);
+    EXPECT_NE(header.find("paragraph-serve-store-v1"), std::string::npos);
     std::ifstream din(out);
     ASSERT_TRUE(din.good());
     std::ostringstream doc;
@@ -158,6 +173,114 @@ TEST(SweepCli, SigintFlushesTheJournalAndExits130)
               std::string::npos);
     fs::remove(journal);
     fs::remove(out);
+}
+
+TEST(SweepCli, JournalNeverServesCellsOfAReplacedTrace)
+{
+    // Regression: the old line-per-grid-index journal matched cells on the
+    // input *name*, so regenerating f.ptrc under the same name spliced the
+    // old trace's cells into the new document. The store behind --journal
+    // keys cells by trace content, captured or pooled.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() / "sweep_stale";
+    fs::create_directories(dir);
+    const std::string trace = (dir / "f.ptrc").string();
+    const std::string store = (dir / "store.jsonl").string();
+    const std::string err = (dir / "err.txt").string();
+    for (const char *mode : {"", " --stream"}) {
+        fs::remove(store);
+        fs::copy_file(goldenTrace("xlisp-800.ptrc"), trace,
+                      fs::copy_options::overwrite_existing);
+        const std::string grid = "--inputs=" + trace +
+                                 " --windows=16,64 --no-profiles" + mode;
+        CliResult first = runSweep(grid + " --journal=" + store);
+        ASSERT_EQ(first.status, 0);
+
+        // Same trace: both cells are served.
+        CliResult again = runSweep(grid + " --journal=" + store, err);
+        EXPECT_EQ(again.output, first.output) << mode;
+        EXPECT_NE(slurp(err).find("2 cell(s) served from"),
+                  std::string::npos)
+            << mode;
+
+        // A different trace under the same name: nothing is served.
+        fs::copy_file(goldenTrace("matrix300-600.ptrc"), trace,
+                      fs::copy_options::overwrite_existing);
+        CliResult rerun = runSweep(grid + " --journal=" + store, err);
+        CliResult fresh = runSweep(grid + " --no-timing");
+        EXPECT_EQ(rerun.status, 0);
+        EXPECT_EQ(rerun.output, fresh.output) << mode;
+        EXPECT_EQ(slurp(err).find("served from"), std::string::npos)
+            << mode;
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SweepCli, JournalServesAnOverlappingGridAtItsOwnCoordinates)
+{
+    // A stored cell is shared by content across grids. A second grid with
+    // reordered inputs (one under another file name), a reordered subset
+    // of windows and a dropped syscalls axis (which shortens every label)
+    // is served entirely from the store, rebound to its own coordinates.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() / "sweep_overlap";
+    fs::create_directories(dir);
+    const std::string store = (dir / "store.jsonl").string();
+    const std::string err = (dir / "err.txt").string();
+    const std::string xlisp = goldenTrace("xlisp-800.ptrc");
+    const std::string copy = (dir / "m.ptrc").string();
+    fs::remove(store);
+    fs::copy_file(goldenTrace("matrix300-600.ptrc"), copy,
+                  fs::copy_options::overwrite_existing);
+
+    CliResult first = runSweep("--inputs=" + xlisp + "," +
+                               goldenTrace("matrix300-600.ptrc") +
+                               " --windows=16,64,256 --syscalls=stall,ignore"
+                               " --journal=" + store);
+    ASSERT_EQ(first.status, 0);
+
+    const std::string second =
+        "--inputs=" + copy + "," + xlisp + " --windows=256,16";
+    CliResult served = runSweep(second + " --journal=" + store, err);
+    CliResult fresh = runSweep(second + " --no-timing");
+    ASSERT_EQ(served.status, 0);
+    EXPECT_NE(slurp(err).find("4 cell(s) served from"), std::string::npos);
+    EXPECT_EQ(served.output, fresh.output);
+    fs::remove_all(dir);
+}
+
+TEST(SweepCli, ExploreJournalRerunServesEveryCell)
+{
+    // Explore rounds resolve through the store like any grid: a second
+    // identical --explore run executes nothing and emits the same bytes.
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() / "sweep_explore_journal";
+    fs::create_directories(dir);
+    const std::string store = (dir / "store.jsonl").string();
+    const std::string err = (dir / "err.txt").string();
+    fs::remove(store);
+
+    const std::string cmd = "--explore --inputs=" +
+                            goldenTrace("xlisp-800.ptrc") +
+                            " --windows=4,16,64,0 --rename=none,regs"
+                            " --journal=" + store;
+    CliResult first = runSweep(cmd);
+    ASSERT_EQ(first.status, 0);
+    const std::string key = "\"cells_executed\": ";
+    size_t at = first.output.find(key);
+    ASSERT_NE(at, std::string::npos);
+    const unsigned long executed =
+        std::stoul(first.output.substr(at + key.size()));
+    ASSERT_GT(executed, 0u);
+
+    CliResult second = runSweep(cmd, err);
+    ASSERT_EQ(second.status, 0);
+    EXPECT_EQ(second.output, first.output);
+    EXPECT_NE(slurp(err).find("explore: " + std::to_string(executed) +
+                              " cell(s) served from"),
+              std::string::npos)
+        << slurp(err);
+    fs::remove_all(dir);
 }
 
 TEST(SweepCli, BadArgumentsFailCleanly)

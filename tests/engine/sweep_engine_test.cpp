@@ -13,6 +13,7 @@
 #include "engine/trace_repository.hpp"
 #include "support/panic.hpp"
 #include "trace/compressed_io.hpp"
+#include "trace/file_io.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -132,6 +133,44 @@ TEST(TraceRepository, UnknownInputThrows)
 {
     TraceRepository repo(smallScale());
     EXPECT_THROW(repo.get("no-such-workload"), FatalError);
+}
+
+TEST(TraceRepository, PooledTraceCrcIsTheVerifiedPayloadCrc)
+{
+    // An uncapped v2 `.ptrc` is keyed by the payload CRC its decode pool
+    // verified on open; it must equal the CRC of a full capture, the value
+    // every other input (and every stored cell) is keyed by. A capped pool
+    // never verified the whole payload, so it keeps the capture path and
+    // is keyed by the capped records.
+    namespace fs = std::filesystem;
+    size_t traces = 0;
+    for (const auto &entry : fs::directory_iterator(PARAGRAPH_GOLDEN_DIR)) {
+        if (entry.path().extension() != ".ptrc")
+            continue;
+        ++traces;
+        const std::string path = entry.path().string();
+        TraceRepository captured(smallScale());
+        const uint32_t whole = trace::traceBufferCrc(*captured.get(path));
+        EXPECT_EQ(captured.traceCrc(path), whole) << path;
+
+        TraceRepository::Options opt = smallScale();
+        opt.streamFiles = true;
+        TraceRepository pooled(opt);
+        auto pool = pooled.decodePool(path);
+        ASSERT_NE(pool, nullptr) << path;
+        EXPECT_EQ(pool->file().storedPayloadCrc(), whole) << path;
+        EXPECT_EQ(pooled.traceCrc(path), whole) << path;
+
+        opt.maxRecords = 100;
+        TraceRepository capped(opt);
+        TraceRepository::Options headOpt = smallScale();
+        headOpt.maxRecords = 100;
+        TraceRepository head(headOpt);
+        const uint32_t headCrc = trace::traceBufferCrc(*head.get(path));
+        EXPECT_NE(headCrc, whole) << path;
+        EXPECT_EQ(capped.traceCrc(path), headCrc) << path;
+    }
+    EXPECT_EQ(traces, 2u);
 }
 
 TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)

@@ -9,6 +9,9 @@
 #                    then the core shard suite (planner and patch walk):
 #                    ctest -R '^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch)\.'
 #   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine
+#   bench-selftest   python3 perfbench/tests/selftest.py: builds the
+#                    benchmark (perfbench/) against src/ in .bench_build/
+#                    and checks every workload's metrics and output checks
 #
 # Usage: tools/ci_matrix.sh [leg...]     (default: every leg, in that order)
 # Environment: JOBS=N  parallel build and test jobs (default: nproc)
@@ -18,12 +21,18 @@ set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
 
-all_legs=(debug release relwithdebinfo asan-ubsan tsan)
+all_legs=(debug release relwithdebinfo asan-ubsan tsan bench-selftest)
 legs=("$@")
 [[ ${#legs[@]} -eq 0 ]] && legs=("${all_legs[@]}")
 
 run_leg() {
     local leg="$1"
+    if [[ "$leg" == bench-selftest ]]; then
+        echo "=== $leg: python3 perfbench/tests/selftest.py"
+        (cd "$root" && python3 perfbench/tests/selftest.py)
+        echo "=== $leg: ok"
+        return
+    fi
     local -a cmake_args=(-DPARAGRAPH_WERROR=ON)
     local -a ctest_args=(--output-on-failure -j "$jobs")
     local -a extra_ctest_args=()

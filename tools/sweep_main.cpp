@@ -73,11 +73,15 @@
 //   --retries=N            re-run a failed cell up to N extra times
 //   --deadline=SECONDS     per-cell deadline; a cell past it fails with a
 //                          timeout error instead of hanging the sweep
-//   --journal=FILE         append a JSONL checkpoint line per finished cell
-//   --resume=FILE          skip cells already ok in FILE, splicing their
-//                          journaled results into the output (implies
-//                          --no-timing so the document is byte-identical
-//                          to an uninterrupted --no-timing run)
+//   --journal=FILE         resolve cells through the result store FILE
+//                          (created if absent): cells it holds for the
+//                          same trace content and config are served
+//                          without re-running, and each new ok cell is
+//                          stored as it finishes, so rerunning the same
+//                          command resumes an interrupted sweep or
+//                          explore (implies --no-timing so the document
+//                          is byte-identical to an uninterrupted
+//                          --no-timing run)
 //
 // Example — the paper's Figure 8 window sweep in one command:
 //   paragraph-sweep --inputs=cc1,espresso --windows=16,64,256,1024,0
@@ -93,7 +97,6 @@
 
 #include "core/cancel_token.hpp"
 #include "engine/explorer.hpp"
-#include "engine/journal.hpp"
 #include "engine/sweep.hpp"
 #include "engine/sweep_args.hpp"
 #include "engine/sweep_json.hpp"
@@ -111,9 +114,10 @@ using engine::SweepArgs;
 
 // SIGINT/SIGTERM turn into a cooperative cancellation: every cell's config
 // chains this token, so in-flight analyses stop at their next checkpoint
-// (a few tens of thousands of records away), their cells journal as failed,
-// and the process exits 128+signal with the journal and output flushed —
-// a `--resume` of the same journal then redoes only what was cut short.
+// (a few tens of thousands of records away), their cells fail, and the
+// process exits 128+signal with the output written and every finished cell
+// already in the --journal store — rerunning the same command then redoes
+// only what was cut short.
 core::CancelToken g_interrupt;
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -153,7 +157,7 @@ usage()
         "          --stats  --no-timing  --no-profiles  --quiet  --list\n"
         "  explore: --explore  --knee-tol=T (0 = exact frontier)\n"
         "  fault:  --retries=N  --deadline=SECONDS\n"
-        "          --journal=FILE  --resume=FILE\n");
+        "          --journal=FILE\n");
     std::exit(2);
 }
 
@@ -213,27 +217,10 @@ main(int argc, char **argv)
         engineOpt.journalPath = opt.journalPath;
         engineOpt.journalProfiles = opt.json.profiles;
 
-        if (opt.explore &&
-            (!opt.journalPath.empty() || !opt.resumePath.empty())) {
-            PARA_FATAL("--explore chooses its own cells round by round and "
-                       "cannot journal or resume a fixed grid; drop "
-                       "--journal/--resume");
-        }
-
-        engine::JournalData resume;
-        if (!opt.resumePath.empty()) {
-            resume = engine::loadJournal(opt.resumePath);
-            if (resume.profiles != opt.json.profiles) {
-                PARA_FATAL("journal %s was written with profiles=%s; rerun "
-                           "with the matching --no-profiles setting",
-                           opt.resumePath.c_str(),
-                           resume.profiles ? "true" : "false");
-            }
-            // Journaled cells carry no timing, so the merged document only
-            // stays byte-identical to a clean run without timing fields.
+        // Stored cells carry no timing, so a document that splices them
+        // only stays byte-identical to a clean run without timing fields.
+        if (!opt.journalPath.empty())
             opt.json.timing = false;
-            engineOpt.resume = &resume;
-        }
         if (!opt.quiet) {
             engineOpt.progress = [](size_t done, size_t total,
                                     double minstrPerSec) {
@@ -262,10 +249,14 @@ main(int argc, char **argv)
                              opt.inputs.size(), configs.size(),
                              sweeper.jobs(), opt.kneeTol);
             }
+            size_t served = 0;
             engine::ExploreResult explored = explorer.explore(
                 opt.inputs, axes, configs, labels,
                 [&](std::vector<engine::SweepJob> jobs) {
-                    return sweeper.runJobs(repo, std::move(jobs)).cells;
+                    engine::SweepResult round =
+                        sweeper.runJobs(repo, std::move(jobs));
+                    served += round.cellsSkipped;
+                    return std::move(round.cells);
                 });
             explored.jobs = sweeper.jobs();
 
@@ -277,6 +268,10 @@ main(int argc, char **argv)
                              explored.cellsExecuted, explored.cellsTotal,
                              explored.cellsPruned, explored.cellsFailed,
                              explored.rounds);
+                if (served > 0)
+                    std::fprintf(stderr,
+                                 "explore: %zu cell(s) served from %s\n",
+                                 served, opt.journalPath.c_str());
             }
 
             if (opt.outPath.empty()) {
@@ -314,8 +309,8 @@ main(int argc, char **argv)
             sweeper.run(repo, opt.inputs, configs, labels);
 
         if (!opt.quiet && result.cellsSkipped > 0)
-            std::fprintf(stderr, "sweep: %zu cell(s) resumed from %s\n",
-                         result.cellsSkipped, opt.resumePath.c_str());
+            std::fprintf(stderr, "sweep: %zu cell(s) served from %s\n",
+                         result.cellsSkipped, opt.journalPath.c_str());
         if (!opt.quiet && result.cellsFailed > 0)
             std::fprintf(stderr,
                          "sweep: %zu cell(s) failed (see \"error\" fields "
@@ -333,13 +328,13 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "sweep: wrote %s\n",
                              opt.outPath.c_str());
         }
-        // An interrupted sweep still writes its (partial) document and
-        // journal, but the exit status says so: 128+signal, the shell
-        // convention for death-by-signal.
+        // An interrupted sweep still writes its (partial) document, and
+        // its finished cells are already stored, but the exit status says
+        // so: 128+signal, the shell convention for death-by-signal.
         if (g_signal != 0) {
             std::fprintf(stderr,
                          "paragraph-sweep: interrupted by signal %d "
-                         "(journal and output flushed)\n",
+                         "(output written)\n",
                          static_cast<int>(g_signal));
             return 128 + static_cast<int>(g_signal);
         }
