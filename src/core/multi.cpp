@@ -11,12 +11,6 @@ namespace core {
 
 namespace {
 
-/// Records per shared block. Big enough that each engine's bulk loop
-/// amortizes its live-well re-warm across tens of thousands of records;
-/// small enough (a few MB) that the block itself stays in cache while
-/// several engines walk it.
-constexpr size_t fusedBlockRecords = 65536;
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -137,7 +131,6 @@ analyzeManyGuarded(trace::TraceSource &src,
     // Pipelined decode: the producer thread unpacks the next block
     // while the engines consume the current one.
     trace::BlockPipeline::Options popt;
-    popt.blockRecords = fusedBlockRecords;
     popt.maxRecords = bounded ? capRecords : 0;
     trace::BlockPipeline pipe(src, popt);
     return analyzeManyGuarded(pipe, configs);
@@ -147,15 +140,10 @@ std::vector<MultiOutcome>
 analyzeManyGuarded(const trace::TraceBuffer &buffer,
                    const std::vector<AnalysisConfig> &configs)
 {
-    FusedPass pass(configs);
-    const trace::TraceRecord *data = buffer.records().data();
-    const size_t total = buffer.records().size();
-    for (size_t off = 0; off < total && !pass.live.empty();
-         off += fusedBlockRecords) {
-        pass.feed(data + off, std::min(fusedBlockRecords, total - off));
-    }
-    pass.finishAll();
-    return std::move(pass.outcomes);
+    // Non-owning: the caller keeps the buffer alive for the whole call.
+    trace::BufferBlocks blocks(std::shared_ptr<const trace::TraceBuffer>(
+        std::shared_ptr<const trace::TraceBuffer>(), &buffer));
+    return analyzeManyGuarded(blocks, configs);
 }
 
 } // namespace core

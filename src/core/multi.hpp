@@ -10,13 +10,17 @@
  * generation (simulation, file decompression) is paid once instead of once
  * per configuration.
  *
- * Execution is block-major: large shared blocks (tens of thousands of
+ * Execution is block-major: large shared blocks (trace::kBlockRecords
  * records) are fetched once, then each engine's bulk inner loop runs over
  * the whole block — engine-major within a block, so every live well stays
  * cache-hot instead of being re-warmed per record. Engines that hit their
  * own maxInstructions leave a compact live-engine list and stop costing
- * anything. For streaming sources the next block is decoded on a background
- * thread (trace::BlockPipeline) while the engines consume the current one.
+ * anything. There is one such loop, fed by a trace::BlockSource; the
+ * capture and stream overloads only adapt their input to one (slices of
+ * the buffer, or a trace::BlockPipeline decoding the next block on a
+ * background thread while the engines consume the current one). A sweep
+ * cell — solo or fused — runs this loop over
+ * engine::TraceRepository::blocks(); a solo cell is a fused pass of one.
  *
  * Cancellation is honored: each engine's AnalysisConfig::cancel is polled
  * from its bulk loop at the same cadence as Paragraph::processAll. Any
@@ -53,8 +57,10 @@ struct MultiOutcome
      *  not attributed). */
     double engineSeconds = 0.0;
 
-    /** Seconds the fused pass spent waiting on block decode — shared
-     *  across the whole pass, so every outcome carries the same value. */
+    /** Seconds the fused pass spent waiting on its block source (decode,
+     *  or contention on a shared decode pool; about 0 for a capture) —
+     *  shared across the whole pass, so every outcome carries the same
+     *  value. */
     double decodeSeconds = 0.0;
 };
 
@@ -64,7 +70,8 @@ struct MultiOutcome
  * Equivalent to running Paragraph::analyze once per configuration over a
  * reset source (a tested invariant), but the trace is produced only once.
  * Engines that hit their own maxInstructions simply stop consuming; when
- * every config is capped, the source is never drained past the largest cap.
+ * every config is capped, the source is never drained past the largest cap
+ * (the adapting trace::BlockPipeline is bounded there).
  *
  * An engine's exception is contained to its own MultiOutcome slot: the
  * failing engine is dropped from the pass and every sibling configuration
@@ -78,8 +85,8 @@ analyzeManyGuarded(trace::TraceSource &src,
                    const std::vector<AnalysisConfig> &configs);
 
 /**
- * Guarded fused pass over an in-memory capture: the engines' bulk loops
- * walk the buffer's contiguous storage in shared blocks directly — no
+ * Guarded fused pass over an in-memory capture: the BlockSource overload
+ * fed trace::BufferBlocks slices of the buffer's contiguous storage — no
  * copies, no producer thread. Results are identical to the source overload.
  */
 std::vector<MultiOutcome>
@@ -87,10 +94,11 @@ analyzeManyGuarded(const trace::TraceBuffer &buffer,
                    const std::vector<AnalysisConfig> &configs);
 
 /**
- * Guarded fused pass fed straight from a BlockSource (a shared decode
- * cursor or any block producer). Each handed-out block is consumed by
- * every live engine before the next is requested; results are identical
- * to the other overloads over the same records.
+ * The fused loop itself, fed straight from a BlockSource (a capture's
+ * slices, a shared decode cursor or a pipeline). Each handed-out block is
+ * consumed by every live engine before the next is requested, and no block
+ * is requested once every engine is done; results are identical to the
+ * other overloads over the same records.
  */
 std::vector<MultiOutcome>
 analyzeManyGuarded(trace::BlockSource &blocks,

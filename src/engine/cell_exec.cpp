@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -26,72 +27,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
-}
-
-/**
- * Wraps a streaming source, accumulating the wall time spent producing
- * records — the decode share of a solo streamed cell without a shared
- * decode pool (`.ptrz`: stateful delta decode, one private decoder per
- * pass).
- */
-class TimedSource : public trace::TraceSource
-{
-  public:
-    explicit TimedSource(std::unique_ptr<trace::TraceSource> inner)
-        : inner_(std::move(inner))
-    {
-    }
-
-    bool
-    next(trace::TraceRecord &rec) override
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        bool ok = inner_->next(rec);
-        seconds_ += secondsSince(t0);
-        return ok;
-    }
-
-    size_t
-    nextBatch(trace::TraceRecord *out, size_t max) override
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        size_t n = inner_->nextBatch(out, max);
-        seconds_ += secondsSince(t0);
-        return n;
-    }
-
-    void reset() override { inner_->reset(); }
-    std::string name() const override { return inner_->name(); }
-    double seconds() const { return seconds_; }
-
-  private:
-    std::unique_ptr<trace::TraceSource> inner_;
-    double seconds_ = 0.0;
-};
-
-/**
- * Solo analysis fed block-by-block off the shared decode pool: zero
- * per-record virtual dispatch, blocks decoded once across every concurrent
- * consumer of the input. Block waits (decode or contention) accumulate
- * into @p decodeSeconds.
- */
-core::AnalysisResult
-analyzePooledSolo(std::shared_ptr<trace::SharedDecodePool> pool,
-                  const core::AnalysisConfig &cfg, double *decodeSeconds)
-{
-    core::Paragraph analyzer(cfg);
-    analyzer.begin();
-    trace::SharedDecodeCursor cursor(std::move(pool));
-    while (!analyzer.done()) {
-        const trace::TraceRecord *records = nullptr;
-        auto t0 = std::chrono::steady_clock::now();
-        size_t n = cursor.next(&records);
-        *decodeSeconds += secondsSince(t0);
-        if (n == 0)
-            break;
-        analyzer.processAll(records, n);
-    }
-    return analyzer.finish();
 }
 
 /** Run @p nSegments segment jobs on up to @p shards threads, capturing the
@@ -159,22 +94,38 @@ poolSpans(trace::SharedDecodePool &pool, double *wait)
 using TimedSpans = std::function<core::RecordSpans(double *wait)>;
 
 /**
- * Split-and-patch sharded analysis of a cell's first @p records records
- * (clamped to maxInstructions): plan cuts (core::planPatchPlan), run the
- * segments on up to @p shards threads, each engine thread-private, and
- * patch the exact solo-equivalent result, replaying failed splices from
- * the same spans (core/shard.hpp). Only decode on the critical path counts
- * into decodeSeconds: the plan scan's waits, the largest segment's waits
- * and the replay's waits. Returns false — leaving the result untouched —
- * when the plan has no cuts; the caller falls back to the solo pass.
- * Throws what a segment run throws (CancelledError included), for the
- * caller's attempts loop.
+ * Split-and-patch sharded analysis of a cell's trace (clamped to
+ * maxInstructions) over the input's random-access form: the capture as one
+ * chunk, or a pooled `.ptrc` as block slices off the shared decode pool.
+ * Plan cuts (core::planPatchPlan), run the segments on up to @p shards
+ * threads, each engine thread-private, and patch the exact solo-equivalent
+ * result, replaying failed splices from the same spans (core/shard.hpp).
+ * Only decode on the critical path counts into decodeSeconds: the plan
+ * scan's waits, the largest segment's waits and the replay's waits.
+ * Returns false — leaving the result untouched — when the input has no
+ * random-access form (any other streamed file) or the plan has no cuts;
+ * the caller then runs the unsharded pass. Throws what a segment run
+ * throws (CancelledError included), for the caller's attempts loop.
  */
 bool
-analyzeSharded(const TimedSpans &spans, uint64_t records,
-               const core::AnalysisConfig &cfg, unsigned shards,
-               SweepCell &cell)
+analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
+               unsigned shards, SweepCell &cell)
 {
+    std::shared_ptr<const trace::TraceBuffer> buffer;
+    std::shared_ptr<trace::SharedDecodePool> pool;
+    TimedSpans spans;
+    uint64_t records = 0;
+    if (!repo.streamingInput(cell.job.input)) {
+        buffer = repo.get(cell.job.input);
+        const trace::TraceRecord *data = buffer->records().data();
+        spans = [data](double *) { return core::contiguousSpans(data); };
+        records = buffer->size();
+    } else if ((pool = repo.decodePool(cell.job.input))) {
+        spans = [&pool](double *wait) { return poolSpans(*pool, wait); };
+        records = pool->recordCount();
+    } else {
+        return false;
+    }
     if (cfg.maxInstructions && cfg.maxInstructions < records)
         records = cfg.maxInstructions;
     const size_t n = static_cast<size_t>(records);
@@ -255,42 +206,17 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
                 cfg.cancel = &deadline;
             }
             auto cellStart = std::chrono::steady_clock::now();
-            if (repo.streamingInput(cell.job.input)) {
-                std::shared_ptr<trace::SharedDecodePool> pool =
-                    repo.decodePool(cell.job.input);
-                bool done = false;
-                if (pool && opt.shards > 1) {
-                    done = analyzeSharded(
-                        [&](double *wait) { return poolSpans(*pool, wait); },
-                        pool->recordCount(), cfg, opt.shards, cell);
-                }
-                if (!done && pool) {
-                    cell.result = analyzePooledSolo(std::move(pool), cfg,
-                                                    &cell.decodeSeconds);
-                } else if (!done) {
-                    TimedSource src(repo.makeSource(cell.job.input));
-                    core::Paragraph analyzer(cfg);
-                    cell.result = analyzer.analyze(src);
-                    cell.decodeSeconds = src.seconds();
-                }
-            } else {
-                // Analyze the shared capture directly (bulk path): no
-                // cursor object, no virtual dispatch per record.
-                std::shared_ptr<const trace::TraceBuffer> buffer =
-                    repo.get(cell.job.input);
-                const trace::TraceRecord *records = buffer->records().data();
-                bool done = false;
-                if (opt.shards > 1) {
-                    done = analyzeSharded(
-                        [records](double *) {
-                            return core::contiguousSpans(records);
-                        },
-                        buffer->size(), cfg, opt.shards, cell);
-                }
-                if (!done) {
-                    core::Paragraph analyzer(cfg);
-                    cell.result = analyzer.analyze(*buffer);
-                }
+            if (opt.shards <= 1 ||
+                !analyzeSharded(repo, cfg, opt.shards, cell)) {
+                // A fused pass of one over the input's block source.
+                core::MultiOutcome out = std::move(
+                    core::analyzeManyGuarded(*repo.blocks(cell.job.input),
+                                             {cfg})
+                        .front());
+                cell.decodeSeconds += out.decodeSeconds;
+                if (out.error)
+                    std::rethrow_exception(out.error);
+                cell.result = std::move(out.result);
             }
             cell.wallSeconds = secondsSince(cellStart);
             cell.minstrPerSec =
@@ -341,25 +267,7 @@ runFusedCells(TraceRepository &repo,
     std::vector<core::MultiOutcome> outcomes;
     bool groupFailed = false;
     try {
-        if (repo.streamingInput(input)) {
-            // Pooled `.ptrc`: the fused pass pulls whole decoded blocks
-            // off the shared pool — blocks decoded once across every
-            // group and solo cell on this input.
-            std::shared_ptr<trace::SharedDecodePool> pool =
-                repo.decodePool(input);
-            if (pool) {
-                trace::SharedDecodeCursor cursor(std::move(pool));
-                outcomes = core::analyzeManyGuarded(cursor, cfgs);
-            } else {
-                std::unique_ptr<trace::TraceSource> src =
-                    repo.makeSource(input);
-                outcomes = core::analyzeManyGuarded(*src, cfgs);
-            }
-        } else {
-            std::shared_ptr<const trace::TraceBuffer> buffer =
-                repo.get(input);
-            outcomes = core::analyzeManyGuarded(*buffer, cfgs);
-        }
+        outcomes = core::analyzeManyGuarded(*repo.blocks(input), cfgs);
     } catch (const std::exception &) {
         groupFailed = true;
     }

@@ -13,11 +13,17 @@
  * is what makes a daemon-served cell byte-identical to the same cell from
  * a paragraph-sweep run, at any --jobs or --group.
  *
+ * Every unsharded cell, solo or fused, runs core::analyzeManyGuarded's
+ * one block-fed loop over TraceRepository::blocks(): a solo cell is a
+ * fused pass of one, and its decodeSeconds is that pass's wait on its
+ * block source whatever the input kind.
+ *
  * A sharded solo cell runs one driver whatever its input kind: the cell's
  * trace becomes a core::RecordSpans source — the capture as one chunk, or
  * a pooled `.ptrc` as block slices off the shared decode pool — and the
  * driver plans with core::planPatchPlan, runs the segments in parallel and
  * patches them with core::patchSegments, replaying from the same spans.
+ * Other streamed inputs have no random access and run unsharded.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP

@@ -88,12 +88,13 @@ struct SweepCell
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;
 
-    /** Of which, seconds spent producing trace records: private stream
-     *  decode, or waits on the shared decode pool. A sharded cell counts
-     *  only the waits on its critical path — the plan scan's, the largest
-     *  segment's and the replay's — so this never exceeds wallSeconds.
-     *  0 for captured inputs — their capture is paid once, up front, in
-     *  SweepResult::captureSeconds. */
+    /** Of which, seconds spent waiting on the cell's block source
+     *  (TraceRepository::blocks()): a private stream's decode, or waits
+     *  on the shared decode pool. A fused cell carries its whole pass's
+     *  wait. A sharded cell counts only the waits on its critical path —
+     *  the plan scan's, the largest segment's and the replay's — so this
+     *  never exceeds wallSeconds. About 0 for captured inputs — their
+     *  capture is paid once, up front, in SweepResult::captureSeconds. */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */

@@ -1,5 +1,6 @@
 #include "engine/sweep_args.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "support/string_utils.hpp"
@@ -11,12 +12,19 @@ namespace {
 
 bool
 parseIntList(const std::string &list, const char *flag,
-             std::vector<uint64_t> &out, std::string &error)
+             std::vector<uint64_t> &out, std::string &error,
+             uint64_t max = UINT64_MAX)
 {
     for (const std::string &piece : splitAndTrim(list, ',')) {
         int64_t n = 0;
         if (!parseInt(piece, n) || n < 0) {
             error = strFormat("bad %s value '%s'", flag, piece.c_str());
+            return false;
+        }
+        if (static_cast<uint64_t>(n) > max) {
+            error = strFormat("%s value '%s' is out of range (max %llu)",
+                              flag, piece.c_str(),
+                              static_cast<unsigned long long>(max));
             return false;
         }
         out.push_back(static_cast<uint64_t>(n));
@@ -104,7 +112,8 @@ parseSweepArgs(const std::vector<std::string> &args, SweepArgs &opt,
             opt.predictors = splitAndTrim(arg.substr(13), ',');
         } else if (startsWith(arg, "--fus=")) {
             std::vector<uint64_t> raw;
-            if (!parseIntList(arg.substr(6), "--fus", raw, error))
+            if (!parseIntList(arg.substr(6), "--fus", raw, error,
+                              UINT32_MAX))
                 return false;
             opt.fus.clear();
             for (uint64_t v : raw)

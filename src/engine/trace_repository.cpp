@@ -8,6 +8,7 @@
 #include "minic/compiler.hpp"
 #include "sim/machine.hpp"
 #include "support/panic.hpp"
+#include "trace/block_pipeline.hpp"
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
@@ -132,18 +133,19 @@ TraceRepository::unpin(const std::string &spec)
         enforceBudget(); // pins may have been holding the budget open
 }
 
-std::unique_ptr<trace::TraceSource>
-TraceRepository::makeSource(const std::string &spec)
+std::unique_ptr<trace::BlockSource>
+TraceRepository::blocks(const std::string &spec)
 {
-    if (streamingInput(spec)) {
-        std::unique_ptr<trace::TraceSource> src = trace::openTraceFile(spec);
-        if (opt_.maxRecords == 0)
-            return src;
-        // Match a capped capture exactly: the source ends at maxRecords.
-        return std::make_unique<trace::LimitedSource>(std::move(src),
-                                                      opt_.maxRecords);
-    }
-    return std::make_unique<trace::SharedBufferSource>(get(spec), spec);
+    if (!streamingInput(spec))
+        return std::make_unique<trace::BufferBlocks>(get(spec));
+    if (std::shared_ptr<trace::SharedDecodePool> pool = decodePool(spec))
+        return std::make_unique<trace::SharedDecodeCursor>(std::move(pool));
+    // `.ptrz` (stateful delta decode) or an unmappable `.ptrc`: a private
+    // decoder thread over a fresh reader, ending where a capture would.
+    trace::BlockPipeline::Options popt;
+    popt.maxRecords = opt_.maxRecords;
+    return std::make_unique<trace::BlockPipeline>(trace::openTraceFile(spec),
+                                                  popt);
 }
 
 bool
@@ -196,7 +198,7 @@ TraceRepository::traceCrc(const std::string &spec)
     }
     // Compute outside the lock: the CRC pass over a large capture must not
     // stall every other worker's get().
-    uint32_t crc;
+    uint32_t crc = 0;
     std::shared_ptr<trace::SharedDecodePool> pool = decodePool(spec);
     if (pool && pool->file().formatVersion() >= 2 &&
         pool->recordCount() == pool->file().recordCount()) {
@@ -204,15 +206,14 @@ TraceRepository::traceCrc(const std::string &spec)
         // header's CRC when it opened: that stored value *is* the CRC of
         // the packed records, so there is nothing left to compute.
         crc = pool->file().storedPayloadCrc();
-    } else if (streamingInput(spec)) {
-        // A streamed input is never resident; CRC it through a one-off
-        // bounded capture so the value matches the captured form exactly.
-        trace::TraceBuffer tmp;
-        std::unique_ptr<trace::TraceSource> src = makeSource(spec);
-        tmp.capture(*src, opt_.maxRecords);
-        crc = trace::traceBufferCrc(tmp);
     } else {
-        crc = trace::traceBufferCrc(*get(spec));
+        // Fold over exactly the records an analysis pass reads, so a
+        // streamed input gets its captured form's CRC without ever being
+        // resident as a whole.
+        std::unique_ptr<trace::BlockSource> src = blocks(spec);
+        const trace::TraceRecord *records = nullptr;
+        while (size_t n = src->next(&records))
+            crc = trace::traceRecordsCrc(crc, records, n);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     crcs_.emplace(spec, crc);

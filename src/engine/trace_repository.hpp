@@ -7,9 +7,20 @@
  * assembly, or `.ptrc`/`.ptrz` decompression — is the expensive, inherently
  * serial part, so the repository performs it exactly once per input and
  * stores the result in an immutable, shared in-memory trace::TraceBuffer.
- * Workers replay the capture through trace::SharedBufferSource instances
- * that carry only a private cursor, so any number of analyses can run over
- * one capture concurrently without synchronization.
+ *
+ * The repository also decides, in one place, how an unsharded analysis
+ * pass reads an input: blocks() hands out a trace::BlockSource over one of
+ * three input kinds —
+ *  - a captured input: in-place slices of the shared capture
+ *    (trace::BufferBlocks), so any number of passes run over one capture
+ *    concurrently without synchronization;
+ *  - a streamed `.ptrc` (Options::streamFiles): a cursor over the input's
+ *    shared decode pool, each block decoded once for every reader;
+ *  - any other streamed file (`.ptrz`, or a `.ptrc` that cannot be
+ *    mapped): a private trace::BlockPipeline over a freshly opened reader,
+ *    capped at Options::maxRecords like a capture.
+ * Only the sharded path (engine/cell_exec) needs random access, so it alone
+ * reads records through get() or decodePool() directly.
  *
  * Long-running holders (the paragraph-serve daemon keeps one repository
  * alive across every client's sweeps) bound the resident set with
@@ -34,9 +45,9 @@
 #include <string>
 #include <utility>
 
+#include "trace/block_source.hpp"
 #include "trace/buffer.hpp"
 #include "trace/shared_decode.hpp"
-#include "trace/source.hpp"
 #include "workloads/workload.hpp"
 
 namespace paragraph {
@@ -101,13 +112,13 @@ class TraceRepository
         uint64_t maxRecords = 0;
 
         /** Stream `.ptrc`/`.ptrz` trace-file inputs instead of capturing
-         *  them: makeSource() re-opens the file per request (capped at
-         *  maxRecords). Trades the one-time capture's memory footprint
-         *  for a decode per analysis pass — the trace-major sweep
-         *  scheduler amortizes that decode across every config fused
-         *  into the pass. Non-file inputs (workloads, assembly, MiniC)
-         *  are always captured, and get() still captures a trace file
-         *  if asked directly. */
+         *  them: blocks() reads a `.ptrc` through its shared decode pool
+         *  and re-opens any other file per pass (capped at maxRecords).
+         *  Trades the one-time capture's memory footprint for a decode per
+         *  analysis pass — the trace-major sweep scheduler amortizes that
+         *  decode across every config fused into the pass. Non-file inputs
+         *  (workloads, assembly, MiniC) are always captured, and get()
+         *  still captures a trace file if asked directly. */
         bool streamFiles = false;
 
         /** Byte budget for cached captures; 0 = unlimited (the one-shot
@@ -140,9 +151,15 @@ class TraceRepository
      *  pressure until the returned pin is released. */
     TracePin pin(const std::string &spec);
 
-    /** A fresh replayable source for @p spec: a cursor over the shared
-     *  capture, or (for a streaming input) a re-opened trace file. */
-    std::unique_ptr<trace::TraceSource> makeSource(const std::string &spec);
+    /**
+     * A fresh block source over @p spec's records, starting at record 0:
+     * slices of the shared capture, a cursor over the shared decode pool
+     * (streamed `.ptrc`), or a private pipeline over a re-opened file
+     * capped at Options::maxRecords (any other streamed input). Every
+     * unsharded analysis pass reads its input through this. Throws what
+     * capture, mapping or opening throws.
+     */
+    std::unique_ptr<trace::BlockSource> blocks(const std::string &spec);
 
     /** True when @p spec is served by streaming (Options::streamFiles and
      *  the spec names a trace file). */
@@ -153,7 +170,7 @@ class TraceRepository
      * (fused group, solo cell, shard segment, serve client) of the same
      * input shares one mmap and decodes each block exactly once between
      * them. Returns nullptr when @p spec is not a streamed `.ptrc` (or
-     * cannot be mapped) — callers then fall back to makeSource().
+     * cannot be mapped) — blocks() then opens a private pipeline.
      * Thread-safe; the pool is cached for the repository's lifetime and
      * its block cache counts toward the byte budget via trim().
      */
@@ -162,9 +179,10 @@ class TraceRepository
 
     /** CRC-32 of @p spec's records in packed on-disk form. An uncapped v2
      *  `.ptrc` served by a decode pool answers with the payload CRC the
-     *  pool verified when it opened; any other input is captured (a
-     *  streamed one into a temporary buffer) and CRC'd on first request.
-     *  Remembered per spec even after the capture itself is evicted. */
+     *  pool verified when it opened; any other input has the CRC folded
+     *  block by block over blocks() on first request (a streamed input is
+     *  never resident as a whole). Remembered per spec even after the
+     *  capture itself is evicted. */
     uint32_t traceCrc(const std::string &spec);
 
     /** Drop the cached capture for @p spec (in-flight sources keep theirs;

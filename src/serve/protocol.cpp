@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "engine/sweep_json.hpp"
@@ -117,8 +118,17 @@ parseServeRequest(const std::string &line, ServeRequest &out,
         out.syscalls = *v;
     if (const std::vector<std::string> *v = p.strList("predictors"))
         out.predictors = *v;
-    if (const std::vector<uint64_t> *v = p.numList("fus"))
+    if (const std::vector<uint64_t> *v = p.numList("fus")) {
+        for (uint64_t fu : *v) {
+            if (fu > UINT32_MAX) {
+                error = strFormat("fus value %llu is out of range (max %u)",
+                                  static_cast<unsigned long long>(fu),
+                                  UINT32_MAX);
+                return false;
+            }
+        }
         out.fus = *v;
+    }
     p.num("max", out.maxInstructions);
     p.boolean("profiles", out.profiles);
     p.boolean("small", out.small);
@@ -181,7 +191,7 @@ toSweepArgs(const ServeRequest &req)
     args.renames = req.renames;
     args.syscalls = req.syscalls;
     args.predictors = req.predictors;
-    for (uint64_t fu : req.fus)
+    for (uint64_t fu : req.fus) // parseServeRequest bounds these
         args.fus.push_back(static_cast<uint32_t>(fu));
     args.maxInstructions = req.maxInstructions;
     args.small = req.small;

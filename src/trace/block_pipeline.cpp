@@ -15,6 +15,14 @@ BlockPipeline::BlockPipeline(TraceSource &src, Options opt)
     producer_ = std::thread([this] { produce(); });
 }
 
+BlockPipeline::BlockPipeline(std::unique_ptr<TraceSource> src, Options opt)
+    : BlockPipeline(*src, opt)
+{
+    // The producer only reads through src_; the pointer itself is destroyed
+    // after ~BlockPipeline() has joined it.
+    owned_ = std::move(src);
+}
+
 BlockPipeline::~BlockPipeline()
 {
     {
@@ -46,16 +54,25 @@ BlockPipeline::produce()
                 want = static_cast<size_t>(remaining);
         }
         size_t n = 0;
+        std::exception_ptr error;
         if (want > 0) {
             try {
                 n = src_.nextBatch(slots_[idx].buf.data(), want);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                error_ = std::current_exception();
-                eof_ = true;
-                cv_.notify_all();
-                return;
+                error = std::current_exception();
             }
+        }
+        if (error) {
+            // Published only after the handler has ended, so this thread
+            // holds no reference to the exception but the one it hands
+            // over under the lock: the consumer alone frees it, and the
+            // handoff is ordered by the mutex, not by libstdc++'s internal
+            // refcount (which the thread sanitizer cannot see).
+            std::lock_guard<std::mutex> lock(mutex_);
+            error_ = std::move(error);
+            eof_ = true;
+            cv_.notify_all();
+            return;
         }
         produced += n;
         {

@@ -16,7 +16,9 @@
  * producer thread and rethrown from next() on the consumer thread.
  *
  * A bounded pipeline (Options::maxRecords) never drains the source past
- * its cap — required when several consumers share one replayable source.
+ * its cap — required when several consumers share one replayable source,
+ * and how engine::TraceRepository::blocks() applies its capture-time
+ * record cap to a privately opened stream the pipeline owns.
  */
 
 #ifndef PARAGRAPH_TRACE_BLOCK_PIPELINE_HPP
@@ -26,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,7 +46,7 @@ class BlockPipeline : public BlockSource
     struct Options
     {
         /** Records per block (two blocks are allocated up front). */
-        size_t blockRecords = 65536;
+        size_t blockRecords = kBlockRecords;
 
         /** Stop after this many records total; 0 = drain the source. */
         uint64_t maxRecords = 0;
@@ -51,6 +54,10 @@ class BlockPipeline : public BlockSource
 
     explicit BlockPipeline(TraceSource &src) : BlockPipeline(src, Options{}) {}
     BlockPipeline(TraceSource &src, Options opt);
+
+    /** A pipeline that owns @p src and destroys it after the producer
+     *  has stopped. */
+    BlockPipeline(std::unique_ptr<TraceSource> src, Options opt);
 
     /** Stops the producer and joins it; safe mid-trace. */
     ~BlockPipeline() override;
@@ -75,6 +82,7 @@ class BlockPipeline : public BlockSource
         bool full = false;
     };
 
+    std::unique_ptr<TraceSource> owned_; ///< set by the owning constructor
     TraceSource &src_;
     Options opt_;
 

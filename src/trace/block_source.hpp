@@ -1,12 +1,15 @@
 /**
  * @file
- * BlockSource: the block-granular pull interface fused consumers share.
+ * BlockSource: the block-granular pull interface every unsharded analysis
+ * pass reads its trace through.
  *
- * BlockPipeline's next(const TraceRecord **) protocol turned out to be the
- * natural feeding contract for block-major analysis; the shared decode pool
- * serves the same protocol from refcounted cached blocks. This interface
- * lets core::analyzeManyGuarded feed engines from either without caring
- * which is behind it.
+ * Three producers serve the same next(const TraceRecord **) protocol: a
+ * shared in-memory capture sliced in place (trace::BufferBlocks), the
+ * shared decode pool's refcounted cached blocks (trace::SharedDecodeCursor)
+ * and a private background decoder over a stream (trace::BlockPipeline).
+ * engine::TraceRepository::blocks() picks one per input, and
+ * core::analyzeManyGuarded feeds its engines from it without caring which
+ * is behind it.
  */
 
 #ifndef PARAGRAPH_TRACE_BLOCK_SOURCE_HPP
@@ -18,6 +21,12 @@
 
 namespace paragraph {
 namespace trace {
+
+/// Records per block, for every BlockSource. Big enough that each engine's
+/// bulk loop amortizes its live-well re-warm across tens of thousands of
+/// records; small enough (a few MB) that the block itself stays in cache
+/// while several engines walk it.
+constexpr size_t kBlockRecords = 65536;
 
 class BlockSource
 {

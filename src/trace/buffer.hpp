@@ -1,6 +1,7 @@
 /**
  * @file
- * TraceBuffer: an in-memory trace with a replayable TraceSource view.
+ * TraceBuffer: an in-memory trace with replayable TraceSource and
+ * BlockSource views.
  *
  * Used by unit tests (hand-built traces), by the two-pass last-use
  * annotator (which requires the whole trace, paper Section 3.2 method 1),
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "trace/block_source.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"
 
@@ -145,6 +147,32 @@ class SharedBufferSource : public TraceSource
   private:
     std::shared_ptr<const TraceBuffer> buffer_;
     std::string name_;
+    size_t pos_ = 0;
+};
+
+/**
+ * BlockSource over a shared capture: consecutive kBlockRecords slices of
+ * the buffer's contiguous storage, handed out in place — no copy, no
+ * producer thread, so waiting on a block costs nothing. Co-owns the
+ * buffer, so every slice stays valid for the source's lifetime.
+ */
+class BufferBlocks : public BlockSource
+{
+  public:
+    explicit BufferBlocks(std::shared_ptr<const TraceBuffer> buffer)
+        : buffer_(std::move(buffer)) {}
+
+    size_t
+    next(const TraceRecord **records) override
+    {
+        const size_t n = std::min(kBlockRecords, buffer_->size() - pos_);
+        *records = buffer_->records().data() + pos_;
+        pos_ += n;
+        return n;
+    }
+
+  private:
+    std::shared_ptr<const TraceBuffer> buffer_;
     size_t pos_ = 0;
 };
 

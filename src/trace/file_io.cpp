@@ -286,14 +286,19 @@ TraceFileReader::reset()
 }
 
 uint32_t
-traceBufferCrc(const TraceBuffer &buffer)
+traceRecordsCrc(uint32_t crc, const TraceRecord *records, size_t n)
 {
-    uint32_t crc = 0;
-    for (const TraceRecord &rec : buffer.records()) {
-        PackedRecord p = packRecord(rec);
+    for (size_t i = 0; i < n; ++i) {
+        PackedRecord p = packRecord(records[i]);
         crc = crc32Update(crc, &p, sizeof(p));
     }
     return crc;
+}
+
+uint32_t
+traceBufferCrc(const TraceBuffer &buffer)
+{
+    return traceRecordsCrc(0, buffer.records().data(), buffer.size());
 }
 
 } // namespace trace

@@ -153,6 +153,11 @@ TraceRecord unpackRecord(const PackedRecord &packed);
  */
 uint32_t traceBufferCrc(const TraceBuffer &buffer);
 
+/** Extend @p crc (a previous result, or 0) over @p n more records in
+ *  packed form: folding a trace's blocks in order gives traceBufferCrc()
+ *  of the whole trace. */
+uint32_t traceRecordsCrc(uint32_t crc, const TraceRecord *records, size_t n);
+
 } // namespace trace
 } // namespace paragraph
 

@@ -148,12 +148,5 @@ SharedDecodeCursor::next(const TraceRecord **records)
     return current_->records.size();
 }
 
-void
-SharedDecodeCursor::reset()
-{
-    current_.reset();
-    nextBlock_ = 0;
-}
-
 } // namespace trace
 } // namespace paragraph

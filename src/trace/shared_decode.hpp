@@ -54,8 +54,8 @@ class SharedDecodePool
   public:
     struct Options
     {
-        /** Records per block (matches the fused block-major granule). */
-        size_t blockRecords = 65536;
+        /** Records per block (the fused block-major granule). */
+        size_t blockRecords = kBlockRecords;
 
         /** Unreferenced decoded blocks kept warm (LRU beyond this). */
         size_t maxCachedBlocks = 8;
@@ -138,8 +138,6 @@ class SharedDecodeCursor : public BlockSource
     }
 
     size_t next(const TraceRecord **records) override;
-
-    void reset();
 
   private:
     std::shared_ptr<SharedDecodePool> pool_;

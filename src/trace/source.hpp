@@ -58,60 +58,6 @@ class TraceSource
     virtual std::string name() const { return "trace"; }
 };
 
-/**
- * Caps an owned source at a fixed record count.
- *
- * Streaming consumers that bypass an in-memory capture still need the
- * capture-time record cap (TraceRepository::Options::maxRecords) applied,
- * or a capped and an uncapped run of the same file would disagree. The
- * wrapper ends the trace after @p maxRecords records; reset() restarts
- * both the inner source and the count.
- */
-class LimitedSource : public TraceSource
-{
-  public:
-    LimitedSource(std::unique_ptr<TraceSource> inner, uint64_t maxRecords)
-        : inner_(std::move(inner)), maxRecords_(maxRecords) {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (produced_ >= maxRecords_)
-            return false;
-        if (!inner_->next(rec))
-            return false;
-        ++produced_;
-        return true;
-    }
-
-    size_t
-    nextBatch(TraceRecord *out, size_t max) override
-    {
-        uint64_t remaining = maxRecords_ - produced_;
-        if (produced_ >= maxRecords_)
-            return 0;
-        if (remaining < max)
-            max = static_cast<size_t>(remaining);
-        size_t n = inner_->nextBatch(out, max);
-        produced_ += n;
-        return n;
-    }
-
-    void
-    reset() override
-    {
-        inner_->reset();
-        produced_ = 0;
-    }
-
-    std::string name() const override { return inner_->name(); }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    uint64_t maxRecords_;
-    uint64_t produced_ = 0;
-};
-
 } // namespace trace
 } // namespace paragraph
 

@@ -9,8 +9,10 @@
 
 #include "core/paragraph.hpp"
 #include "engine/sweep.hpp"
+#include "engine/sweep_args.hpp"
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
+#include "support/failpoint.hpp"
 #include "support/panic.hpp"
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
@@ -87,18 +89,21 @@ TEST(TraceRepository, SourcesReplayTheSharedCapture)
 {
     TraceRepository repo(smallScale());
     auto buf = repo.get("matrix300");
-    auto src = repo.makeSource("matrix300");
+    auto blocks = repo.blocks("matrix300");
 
-    trace::TraceRecord rec;
+    const trace::TraceRecord *records = nullptr;
     size_t n = 0;
-    while (src->next(rec))
-        ++n;
+    while (size_t got = blocks->next(&records)) {
+        // In-place slices of the shared capture, not copies.
+        EXPECT_EQ(records, buf->records().data() + n);
+        n += got;
+    }
     EXPECT_EQ(n, buf->size());
 
-    src->reset();
-    ASSERT_TRUE(src->next(rec));
-    EXPECT_EQ(rec, (*buf)[0]);
-    EXPECT_EQ(src->name(), "matrix300");
+    // A second blocks() call starts at record 0.
+    auto again = repo.blocks("matrix300");
+    ASSERT_GT(again->next(&records), 0u);
+    EXPECT_EQ(records[0], (*buf)[0]);
 }
 
 TEST(TraceRepository, MaxRecordsCapsTheCapture)
@@ -175,9 +180,9 @@ TEST(TraceRepository, PooledTraceCrcIsTheVerifiedPayloadCrc)
 
 TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)
 {
-    // streamFiles serves trace files by re-opening them per source: the
-    // records (and the maxRecords cap) must match a capture exactly, but
-    // nothing is held in the cache.
+    // streamFiles serves trace files by re-opening them per block source:
+    // the records (and the maxRecords cap) must match a capture exactly,
+    // but nothing is held in the cache.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "repo_stream.ptrz").string();
@@ -198,17 +203,22 @@ TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)
     EXPECT_TRUE(streamRepo.streamingInput(path));
     EXPECT_FALSE(streamRepo.streamingInput("xlisp"));
 
-    auto src = streamRepo.makeSource(path);
-    trace::TraceRecord rec;
+    auto blocks = streamRepo.blocks(path);
+    const trace::TraceRecord *records = nullptr;
     size_t n = 0;
-    while (src->next(rec))
-        ++n;
+    while (size_t got = blocks->next(&records)) {
+        for (size_t i = 0; i < got; ++i)
+            EXPECT_EQ(records[i], (*live)[n + i]);
+        n += got;
+    }
     EXPECT_EQ(n, 150u); // capped exactly like a capture would be
     EXPECT_EQ(streamRepo.cachedInputs(), 0u);
 
-    src->reset();
-    ASSERT_TRUE(src->next(rec));
-    EXPECT_EQ(rec, (*live)[0]);
+    // A second blocks() call starts at record 0.
+    auto again = streamRepo.blocks(path);
+    ASSERT_GT(again->next(&records), 0u);
+    EXPECT_EQ(records[0], (*live)[0]);
+    EXPECT_EQ(streamRepo.cachedInputs(), 0u);
     fs::remove(path);
 }
 
@@ -257,6 +267,104 @@ TEST(SweepEngine, StreamingSweepJsonMatchesCapturedSweep)
         EXPECT_EQ(streamRepo.cachedInputs(), 0u) << "group=" << group;
     }
     fs::remove(path);
+}
+
+TEST(SweepEngine, EveryInputKindAndGroupingMatchesSoloAnalyze)
+{
+    // Every way TraceRepository::blocks() reads a cell's trace — slices of
+    // a capture, the shared decode pool, a private pipeline over an
+    // unmappable `.ptrc` or over a `.ptrz` — solo or fused, capped or not,
+    // must render each cell exactly as an independent Paragraph::analyze
+    // over the captured buffer.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "sweep_input_kinds";
+    fs::create_directories(dir);
+    const std::string ptrc = (dir / "xlisp.ptrc").string();
+    const std::string ptrz = (dir / "xlisp.ptrz").string();
+    {
+        TraceRepository seed(smallScale());
+        trace::SharedBufferSource plain(seed.get("xlisp"), "xlisp");
+        trace::TraceFileWriter writer(ptrc);
+        writer.writeAll(plain);
+        writer.close();
+        trace::SharedBufferSource packed(seed.get("xlisp"), "xlisp");
+        trace::CompressedTraceWriter zwriter(ptrz);
+        zwriter.writeAll(packed);
+        zwriter.close();
+    }
+
+    std::vector<core::AnalysisConfig> configs = {
+        core::AnalysisConfig::windowed(16),
+        core::AnalysisConfig::windowed(256),
+        core::AnalysisConfig::noRenaming(),
+        core::AnalysisConfig::dataflowConservative(),
+    };
+    SweepJsonOptions json;
+    json.timing = false;
+
+    struct Kind
+    {
+        const char *name;
+        std::string path;
+        bool stream;
+        bool pooled;
+        const char *failpoint;
+    };
+    const Kind kinds[] = {
+        {"captured .ptrc", ptrc, false, false, nullptr},
+        {"pooled .ptrc", ptrc, true, true, nullptr},
+        {"unmapped .ptrc", ptrc, true, false, "trace.mmap.map=after:0"},
+        {"streamed .ptrz", ptrz, true, false, nullptr},
+    };
+    struct ResetFailpoints
+    {
+        ~ResetFailpoints() { failpoint::reset(); }
+    } resetAtExit;
+
+    for (uint64_t maxRecords : {uint64_t(0), uint64_t(1500)}) {
+        TraceRepository::Options refOpt = smallScale();
+        refOpt.maxRecords = maxRecords;
+        TraceRepository ref(refOpt);
+        for (const Kind &kind : kinds) {
+            for (unsigned group : {1u, 4u}) {
+                SCOPED_TRACE(std::string(kind.name) + " group=" +
+                             std::to_string(group) +
+                             " maxRecords=" + std::to_string(maxRecords));
+                std::string error;
+                if (kind.failpoint) {
+                    ASSERT_TRUE(failpoint::configure(kind.failpoint, error))
+                        << error;
+                }
+                TraceRepository::Options ro = refOpt;
+                ro.streamFiles = kind.stream;
+                TraceRepository repo(ro);
+                EXPECT_EQ(repo.decodePool(kind.path) != nullptr,
+                          kind.pooled);
+                SweepEngine::Options opt;
+                opt.jobs = 2;
+                opt.groupSize = group;
+                SweepResult sweep =
+                    SweepEngine(opt).run(repo, {kind.path}, configs);
+                failpoint::reset();
+
+                EXPECT_EQ(sweep.fusedGroups, configs.size() / group);
+                ASSERT_EQ(sweep.cells.size(), configs.size());
+                auto buffer = ref.get(kind.path);
+                if (maxRecords) {
+                    ASSERT_EQ(buffer->size(), maxRecords);
+                }
+                for (const SweepCell &cell : sweep.cells) {
+                    EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+                    SweepCell solo = cell;
+                    solo.result =
+                        core::Paragraph(cell.job.config).analyze(*buffer);
+                    EXPECT_EQ(cellToJson(cell, json), cellToJson(solo, json))
+                        << cell.job.configLabel;
+                }
+            }
+        }
+    }
+    fs::remove_all(dir);
 }
 
 TEST(SweepEngine, AutoGroupRespectsDecoderCapOnGatedStreams)
@@ -473,4 +581,19 @@ TEST(SweepJson, RendersStableNumbersAndStrings)
 
     EXPECT_EQ(jsonString("plain"), "\"plain\"");
     EXPECT_EQ(jsonString("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+}
+
+TEST(SweepArgs, FuLimitsBeyond32BitsAreRejectedNotTruncated)
+{
+    // The engine's FU limit is 32 bits wide: 4294967304 must be refused by
+    // name, not silently run as fus=8.
+    SweepArgs opt;
+    std::string error;
+    EXPECT_FALSE(parseSweepArgs({"--fus=2,4294967304", "xlisp"}, opt, error));
+    EXPECT_NE(error.find("4294967304"), std::string::npos) << error;
+
+    SweepArgs widest;
+    ASSERT_TRUE(parseSweepArgs({"--fus=4294967295", "xlisp"}, widest, error))
+        << error;
+    EXPECT_EQ(widest.fus, std::vector<uint32_t>{4294967295u});
 }

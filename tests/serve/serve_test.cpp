@@ -426,6 +426,27 @@ TEST(ServeProtocol, RejectsBadRequests)
         error));
 }
 
+TEST(ServeProtocol, RejectsFuLimitsBeyond32Bits)
+{
+    // A wire FU limit that does not fit the engine's 32-bit field is
+    // refused by value instead of being truncated (4294967304 -> 8).
+    ServeRequest req;
+    std::string error;
+    EXPECT_FALSE(parseServeRequest(
+        "{\"schema\": \"paragraph-serve-v1\", \"op\": \"sweep\", "
+        "\"inputs\": [\"xlisp\"], \"fus\": [2, 4294967304]}",
+        req, error));
+    EXPECT_NE(error.find("4294967304"), std::string::npos) << error;
+
+    ServeRequest widest;
+    ASSERT_TRUE(parseServeRequest(
+        "{\"schema\": \"paragraph-serve-v1\", \"op\": \"sweep\", "
+        "\"inputs\": [\"xlisp\"], \"fus\": [4294967295]}",
+        widest, error))
+        << error;
+    EXPECT_EQ(toSweepArgs(widest).fus, std::vector<uint32_t>{4294967295u});
+}
+
 TEST(ServeProtocol, ResponsesRoundTrip)
 {
     ServeResponse resp;

@@ -50,7 +50,9 @@ the requested grid cold and then warm, and validates the
 paragraph-serve-v1 response envelope both times: cell accounting must add
 up, the embedded document must itself be a valid paragraph-sweep-v3
 document, the warm run must serve every cell from the cache, and its
-document must be byte-identical to the cold one. It then validates the
+document must be byte-identical to the cold one. A "busy" answer to any of
+these requests is retried after its retry_after_ms hint, as the protocol
+tells clients to do. It then validates the
 health envelope (durability and load counters, fsync policy) and — by
 holding a connection against --max-clients=1 — the busy envelope with
 its retry_after_ms hint.
@@ -357,18 +359,32 @@ def check_explore(argv):
           f"{len(traces)} frontiers recomputed, schema {EXPLORE_SCHEMA}")
 
 
+SERVE_BUSY_RETRIES = 50
+
+
 def serve_round_trip(binary, socket_path, raw_line):
-    """One client round trip; returns the parsed response object."""
-    proc = subprocess.run(
-        [binary, "--client", f"--socket={socket_path}",
-         f"--raw={raw_line}", "--quiet"],
-        stdout=subprocess.PIPE)
-    if proc.returncode != 0:
-        fail(f"serve client exited with status {proc.returncode}")
-    try:
-        return json.loads(proc.stdout)
-    except json.JSONDecodeError as err:
-        fail(f"serve response is not valid JSON: {err}")
+    """One client round trip; returns the parsed response object.
+
+    A "busy" response (the previous client's connection slot not yet
+    freed under --max-clients=1) is retried after its retry_after_ms hint,
+    as the protocol tells clients to do, up to SERVE_BUSY_RETRIES times.
+    """
+    for _ in range(SERVE_BUSY_RETRIES + 1):
+        proc = subprocess.run(
+            [binary, "--client", f"--socket={socket_path}",
+             f"--raw={raw_line}", "--quiet"],
+            stdout=subprocess.PIPE)
+        if proc.returncode != 0:
+            fail(f"serve client exited with status {proc.returncode}")
+        try:
+            resp = json.loads(proc.stdout)
+        except json.JSONDecodeError as err:
+            fail(f"serve response is not valid JSON: {err}")
+        if resp.get("status") != "busy":
+            return resp
+        validate_serve_busy_response(resp)
+        time.sleep(resp["retry_after_ms"] / 1000.0)
+    fail(f"daemon still busy after {SERVE_BUSY_RETRIES} retries")
 
 
 def validate_serve_sweep_response(resp, expected_cells):

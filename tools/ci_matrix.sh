@@ -6,9 +6,13 @@
 #   release          CMAKE_BUILD_TYPE=Release         ctest
 #   relwithdebinfo   CMAKE_BUILD_TYPE=RelWithDebInfo  ctest
 #   asan-ubsan       PARAGRAPH_SANITIZE=address,undefined  ctest -L engine,
-#                    then the core shard suite (planner and patch walk):
-#                    ctest -R '^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch)\.'
-#   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine
+#                    then the core and trace suites the engine runs on but
+#                    that carry no engine label — the shard planner and
+#                    patch walk, the fused loop, the block pipeline and the
+#                    hot-path equivalence suite:
+#                    ctest -R "$core_suites" (below)
+#   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine,
+#                    then the same ctest -R "$core_suites" run
 #   bench-selftest   python3 perfbench/tests/selftest.py: builds the
 #                    benchmark (perfbench/) against src/ in .bench_build/
 #                    and checks every workload's metrics and output checks
@@ -20,6 +24,7 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
+core_suites='^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch|AnalyzeMany|BlockPipeline|HotPathEquivalence)\.'
 
 all_legs=(debug release relwithdebinfo asan-ubsan tsan bench-selftest)
 legs=("$@")
@@ -42,12 +47,13 @@ run_leg() {
       relwithdebinfo) cmake_args+=(-DCMAKE_BUILD_TYPE=RelWithDebInfo) ;;
       asan-ubsan)     cmake_args+=(-DPARAGRAPH_SANITIZE=address,undefined)
                       ctest_args+=(-L engine)
-                      extra_ctest_args=(-R '^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch)\.')
+                      extra_ctest_args=(-R "$core_suites")
                       # UBSan only warns by default; make a report fail
                       # its test.
                       export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" ;;
       tsan)           cmake_args+=(-DPARAGRAPH_SANITIZE=thread)
-                      ctest_args+=(-L engine) ;;
+                      ctest_args+=(-L engine)
+                      extra_ctest_args=(-R "$core_suites") ;;
       *) echo "ci_matrix: unknown leg '$leg' (legs: ${all_legs[*]})" >&2
          return 2 ;;
     esac
