@@ -12,11 +12,11 @@
 // auto) over three sources — a captured in-memory trace, a streamed
 // `.ptrz` (private decoder per pass, the decoder-cap scheduler's
 // territory), and a streamed pooled `.ptrc` — at 1 and 8 worker threads;
-// then a single-config cell is run at --shard={1,2,4,8} over both the
-// captured source (buffer split-and-patch) and the pooled stream (block
-// split-and-patch). Every run's JSON document (timing off) is compared
-// per source/grid slot — the matrix is only meaningful because every
-// variant produces byte-identical analysis, every sharded point included.
+// then a single-config cell is run at --shard={1,2,4,8} over the captured
+// source (streamed inputs never shard). Every run's JSON document (timing
+// off) is compared per source/grid slot — the matrix is only meaningful
+// because every variant produces byte-identical analysis, every sharded
+// point included.
 //
 // A final explore-vs-grid leg runs the adaptive explorer (--explore)
 // against the full grid on a plateau-heavy window × rename axis: the explorer
@@ -26,7 +26,7 @@
 // the frontier identity is asserted like identical_json.
 //
 // Results are written as `BENCH_sweep.json` — a stable, timestamped schema
-// (`paragraph-bench-sweep-v4`) meant to be re-run and diffed across
+// (`paragraph-bench-sweep-v5`) meant to be re-run and diffed across
 // revisions so the perf trajectory of the sweep engine is tracked in-repo.
 // The shard-scaling summary is reported, never asserted: on a 1-core
 // runner the sharded legs cannot beat solo, and the numbers say so.
@@ -320,27 +320,25 @@ findRow(const std::vector<Row> &rows, const char *source, unsigned jobs,
     return nullptr;
 }
 
-/** The scaling-leg row for (source, shard): single config, jobs=1,
- *  group=1. */
+/** The scaling-leg row for @p shard: single config, jobs=1, group=1. */
 const Row *
-findShardRow(const std::vector<Row> &shardRows, const char *source,
-             unsigned shard)
+findShardRow(const std::vector<Row> &shardRows, unsigned shard)
 {
     for (const Row &row : shardRows) {
-        if (row.source == source && row.shard == shard)
+        if (row.shard == shard)
             return &row;
     }
     return nullptr;
 }
 
-/** BENCH_sweep.json, schema paragraph-bench-sweep-v4. */
+/** BENCH_sweep.json, schema paragraph-bench-sweep-v5. */
 void
 writeJson(std::ostream &os, const Options &opt, size_t configs,
           const std::vector<Row> &rows, const std::vector<Row> &shardRows,
           unsigned maxShard, bool identical, const ExploreLeg &explore)
 {
     os << "{\n"
-       << "  \"schema\": \"paragraph-bench-sweep-v4\",\n"
+       << "  \"schema\": \"paragraph-bench-sweep-v5\",\n"
        << "  \"timestamp\": " << engine::jsonString(utcTimestamp()) << ",\n"
        << "  \"input\": " << engine::jsonString(opt.input) << ",\n"
        << "  \"configs\": " << configs << ",\n"
@@ -368,12 +366,9 @@ writeJson(std::ostream &os, const Options &opt, size_t configs,
                    ? fused->minstrPerSec / solo->minstrPerSec
                    : 0.0;
     };
-    const Row *pooledShard1 = findShardRow(shardRows, "pooled", 1);
-    const Row *pooledShardN = findShardRow(shardRows, "pooled", maxShard);
-    const Row *captureShard1 = findShardRow(shardRows, "capture", 1);
-    const Row *captureShardN = findShardRow(shardRows, "capture", maxShard);
-    double shardSpeedup = speedup(pooledShard1, pooledShardN);
-    double captureShardSpeedup = speedup(captureShard1, captureShardN);
+    const Row *shard1 = findShardRow(shardRows, 1);
+    const Row *shardN = findShardRow(shardRows, maxShard);
+    double shardSpeedup = speedup(shard1, shardN);
     os << "  ],\n"
        << "  \"summary\": {\n"
        << "    \"jobs1_solo_minstr_per_sec\": "
@@ -389,25 +384,20 @@ writeJson(std::ostream &os, const Options &opt, size_t configs,
        << "    \"jobs" << opt.jobs << "_fused_speedup\": "
        << engine::jsonDouble(speedup(soloN, fusedN)) << ",\n"
        // Single-trace scaling: ONE (trace, config) cell at
-       // --shard={1,2,4,...} over the pooled stream (block
-       // split-and-patch) and the captured buffer. The headline pair is
-       // the pooled leg at shard=1 vs shard=max; efficiency is speedup /
-       // shard_threads — machine-dependent, reported honestly (a 1-core
-       // runner will show ~1/N), never asserted.
+       // --shard={1,2,4,...} over the captured buffer, shard=1 vs
+       // shard=max; efficiency is speedup / shard_threads —
+       // machine-dependent, reported honestly (a 1-core runner will show
+       // ~1/N), never asserted.
        << "    \"shard_threads\": " << maxShard << ",\n"
        << "    \"shard1_minstr_per_sec\": "
-       << engine::jsonDouble(pooledShard1 ? pooledShard1->minstrPerSec : 0.0)
-       << ",\n"
+       << engine::jsonDouble(shard1 ? shard1->minstrPerSec : 0.0) << ",\n"
        << "    \"shardn_minstr_per_sec\": "
-       << engine::jsonDouble(pooledShardN ? pooledShardN->minstrPerSec : 0.0)
-       << ",\n"
+       << engine::jsonDouble(shardN ? shardN->minstrPerSec : 0.0) << ",\n"
        << "    \"shard_speedup\": " << engine::jsonDouble(shardSpeedup)
        << ",\n"
        << "    \"shard_scaling_efficiency\": "
        << engine::jsonDouble(maxShard > 0 ? shardSpeedup / maxShard : 0.0)
        << ",\n"
-       << "    \"capture_shard_speedup\": "
-       << engine::jsonDouble(captureShardSpeedup) << ",\n"
        // Explore-vs-grid: the fraction of cells the explorer had to run
        // is deterministic (seeded), so it IS asserted downstream; the
        // wall-time speedup is machine noise and only reported.
@@ -489,8 +479,8 @@ main(int argc, char **argv)
     // byte-identical no-timing document — capture and pooled legs share the
     // `.ptrc` slot, so the pooled decode path is checked against the bulk
     // captured path too. The shard-scaling leg has its own single-config
-    // slot shared across both sources and every shard count: sharded ==
-    // unsharded is the whole point.
+    // slot shared across every shard count: sharded == unsharded is the
+    // whole point.
     std::map<std::string, std::string> identity;
     bool identical = true;
 
@@ -529,11 +519,9 @@ main(int argc, char **argv)
     }
 
     // The single-trace scaling leg: ONE (trace, config) cell at
-    // --shard={1,2,4,8} over the captured buffer and the pooled stream
-    // (`.ptrz` cells have no block index, so they cannot shard). Both
-    // sources sweep the same records and share one identity slot: every
-    // point, sharded or not, must render the same document — byte-exact
-    // split-and-patch is the whole point.
+    // --shard={1,2,4,8} over the captured buffer (a streamed cell runs
+    // unsharded). Every point, sharded or not, must render the same
+    // document — byte-exact split-and-patch is the whole point.
     std::vector<core::AnalysisConfig> oneConfig;
     {
         core::AnalysisConfig cfg = core::AnalysisConfig::dataflowConservative();
@@ -543,17 +531,12 @@ main(int argc, char **argv)
     constexpr unsigned kShardPoints[] = {1, 2, 4, 8};
     constexpr unsigned kMaxShard =
         kShardPoints[sizeof(kShardPoints) / sizeof(kShardPoints[0]) - 1];
-    const Leg shardLegs[] = {{"capture", &cpath, false},
-                             {"pooled", &cpath, true}};
     std::vector<Row> shardRows;
     std::string &shardSlot = identity[cpath + "#one"];
-    for (const Leg &leg : shardLegs) {
-        for (unsigned shard : kShardPoints) {
-            shardRows.push_back(measure(*leg.path, leg.source, leg.stream, 1,
-                                        1, shard, oneConfig, opt, shardSlot,
-                                        identical));
-            report(shardRows.back());
-        }
+    for (unsigned shard : kShardPoints) {
+        shardRows.push_back(measure(cpath, "capture", false, 1, 1, shard,
+                                    oneConfig, opt, shardSlot, identical));
+        report(shardRows.back());
     }
     rows.insert(rows.end(), shardRows.begin(), shardRows.end());
 
@@ -604,11 +587,11 @@ main(int argc, char **argv)
             std::printf("\nstream jobs=1 fused speedup: %.2fx   ",
                         fused1->minstrPerSec / solo1->minstrPerSec);
         }
-        const Row *pooled1 = findShardRow(shardRows, "pooled", 1);
-        const Row *pooledN = findShardRow(shardRows, "pooled", kMaxShard);
-        if (pooled1 && pooledN && pooled1->minstrPerSec > 0.0) {
-            std::printf("pooled shard=%u speedup: %.2fx   ", kMaxShard,
-                        pooledN->minstrPerSec / pooled1->minstrPerSec);
+        const Row *shard1 = findShardRow(shardRows, 1);
+        const Row *shardN = findShardRow(shardRows, kMaxShard);
+        if (shard1 && shardN && shard1->minstrPerSec > 0.0) {
+            std::printf("capture shard=%u speedup: %.2fx   ", kMaxShard,
+                        shardN->minstrPerSec / shard1->minstrPerSec);
         }
         std::printf("identical json: %s\n", identical ? "yes" : "NO");
         std::printf("explore: %zu/%zu cells, identical frontier: %s\n",

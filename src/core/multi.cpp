@@ -106,7 +106,8 @@ analyzeManyGuarded(trace::BlockSource &blocks,
     }
     pass.finishAll();
     for (MultiOutcome &o : pass.outcomes)
-        o.decodeSeconds = decodeSeconds;
+        o.decodeSeconds =
+            decodeSeconds / static_cast<double>(configs.size());
     return std::move(pass.outcomes);
 }
 

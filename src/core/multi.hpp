@@ -57,10 +57,10 @@ struct MultiOutcome
      *  not attributed). */
     double engineSeconds = 0.0;
 
-    /** Seconds the fused pass spent waiting on its block source (decode,
-     *  or contention on a shared decode pool; about 0 for a capture) —
-     *  shared across the whole pass, so every outcome carries the same
-     *  value. */
+    /** This config's equal share of the seconds the fused pass spent
+     *  waiting on its block source (decode, or contention on a shared
+     *  decode pool; about 0 for a capture): the pass's wait divided by
+     *  the number of configs, so the outcomes' shares sum to the wait. */
     double decodeSeconds = 0.0;
 };
 

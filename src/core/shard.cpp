@@ -11,14 +11,6 @@
 namespace paragraph {
 namespace core {
 
-RecordSpans
-contiguousSpans(const trace::TraceRecord *records)
-{
-    return [records](size_t lo, size_t hi, const ChunkVisitor &visit) {
-        visit(records + lo, hi - lo);
-    };
-}
-
 PredictorPrepass::PredictorPrepass(const AnalysisConfig &cfg)
     : predictor_(cfg.branchPredictor, cfg.predictorTableBits)
 {
@@ -77,8 +69,8 @@ selectShardCuts(const std::vector<size_t> &candidates, size_t n,
 }
 
 PatchPlan
-planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans, size_t n,
-              unsigned shards)
+planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
+              size_t n, unsigned shards)
 {
     PatchPlan plan;
     const bool modeled = cfg.branchPredictor != PredictorKind::Perfect;
@@ -103,26 +95,23 @@ planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans, size_t n,
     std::vector<uint64_t> tileBranches(tiles.size(), 0);
     PredictorPrepass pre(cfg);
     if (modeled || (cutting && cfg.sysCallsStall)) {
-        size_t pos = 0;
+        if (modeled)
+            pre.feed(records, n);
         size_t nextTile = 0;
         uint64_t branches = 0;
-        spans(0, n, [&](const trace::TraceRecord *records, size_t len) {
-            if (modeled)
-                pre.feed(records, len);
-            for (size_t i = 0; i < len; ++i, ++pos) {
-                if (nextTile < tiles.size() && tiles[nextTile] == pos)
-                    tileBranches[nextTile++] = branches;
-                const trace::TraceRecord &rec = records[i];
-                bool cut = cfg.sysCallsStall && rec.isSysCall;
-                if (rec.isCondBranch)
-                    cut |= modeled && pre.bits.bit(branches++);
-                if (cut && pos + 1 < n &&
-                    (candidates.empty() || candidates.back() != pos + 1)) {
-                    candidates.push_back(pos + 1);
-                    candidateBranches.push_back(branches);
-                }
+        for (size_t pos = 0; pos < n; ++pos) {
+            if (nextTile < tiles.size() && tiles[nextTile] == pos)
+                tileBranches[nextTile++] = branches;
+            const trace::TraceRecord &rec = records[pos];
+            bool cut = cfg.sysCallsStall && rec.isSysCall;
+            if (rec.isCondBranch)
+                cut |= modeled && pre.bits.bit(branches++);
+            if (cut && pos + 1 < n &&
+                (candidates.empty() || candidates.back() != pos + 1)) {
+                candidates.push_back(pos + 1);
+                candidateBranches.push_back(branches);
             }
-        });
+        }
     }
 
     std::vector<uint64_t> cutBranches;
@@ -148,37 +137,20 @@ planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans, size_t n,
     return plan;
 }
 
-PatchPlan
-planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
-              size_t n, unsigned shards)
-{
-    return planPatchPlan(cfg, contiguousSpans(records), n, shards);
-}
-
-void
-runSegment(const AnalysisConfig &cfg, const RecordSpans &spans, size_t lo,
-           size_t hi, SegmentRun &out, const MispredictBits *bits,
-           uint64_t branch_base)
-{
-    AnalysisConfig seg_cfg = cfg;
-    seg_cfg.maxInstructions = 0; // the caller slices exact spans
-    Paragraph engine(seg_cfg);
-    out.log.reserve(hi - lo);
-    engine.beginSegment(&out.log);
-    if (bits)
-        engine.feedMispredicts(bits->words.data(), branch_base);
-    spans(lo, hi, [&](const trace::TraceRecord *records, size_t len) {
-        engine.processAll(records, len);
-    });
-    out.result = engine.finish();
-}
-
 void
 runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
            size_t n, SegmentRun &out, const MispredictBits *bits,
            uint64_t branch_base)
 {
-    runSegment(cfg, contiguousSpans(records), 0, n, out, bits, branch_base);
+    AnalysisConfig seg_cfg = cfg;
+    seg_cfg.maxInstructions = 0; // the caller slices exact spans
+    Paragraph engine(seg_cfg);
+    out.log.reserve(n);
+    engine.beginSegment(&out.log);
+    if (bits)
+        engine.feedMispredicts(bits->words.data(), branch_base);
+    engine.processAll(records, n);
+    out.result = engine.finish();
 }
 
 namespace {

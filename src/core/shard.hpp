@@ -34,11 +34,11 @@
  * precomputes a per-branch mispredict bitvector (predictors consume only
  * the branch-record stream).
  *
- * The planner and the segment runner read the trace through a RecordSpans
- * source, so one contiguous capture and a block-decoding pool share them.
- * The boundary data a segment exports — first-touch import episodes, head
- * floors/levels, window tail, per-level op counts, well watermarks — is
- * described in core/segment_log.hpp. The patch reproduces every counter,
+ * The planner and the segment runner read one contiguous record array — a
+ * capture; streamed inputs are never sharded. The boundary data a segment
+ * exports — first-touch import episodes, head floors/levels, window tail,
+ * per-level op counts, well watermarks — is described in
+ * core/segment_log.hpp. The patch reproduces every counter,
  * the lifetime/sharing histograms, the live-well peak, the critical path
  * and the ops-per-level profile exactly; the storage profile is re-based
  * bin-accurately (exact at unit bucket width).
@@ -61,22 +61,6 @@
 
 namespace paragraph {
 namespace core {
-
-/** Receives one contiguous chunk of trace records. */
-using ChunkVisitor =
-    std::function<void(const trace::TraceRecord *records, size_t n)>;
-
-/**
- * A record-span source over one trace: spans(lo, hi, visit) hands records
- * [lo, hi) to @p visit in trace order as one or more contiguous chunks —
- * one chunk for a capture, block slices for a decode pool. Segment runs
- * call it from several threads at once.
- */
-using RecordSpans =
-    std::function<void(size_t lo, size_t hi, const ChunkVisitor &visit)>;
-
-/** The span source over one contiguous record array. */
-RecordSpans contiguousSpans(const trace::TraceRecord *records);
 
 /**
  * Per-branch mispredict bits from the sequential predictor pre-pass:
@@ -144,8 +128,8 @@ struct PatchPlan
 };
 
 /**
- * Plan up to @p shards segments over records [0, n) of @p spans under
- * @p cfg, in one scan. Cut candidates are the positions immediately after
+ * Plan up to @p shards segments over @p records[0, n) under @p cfg, in one
+ * scan. Cut candidates are the positions immediately after
  * stalling syscalls (when the config stalls) and after mispredicted
  * branches (modeled predictors, discovered by the pre-pass the scan
  * feeds); with no candidates at all the plan falls back to plain
@@ -155,10 +139,6 @@ struct PatchPlan
  * position, so branchBase needs no second pass. Returns an empty-cut plan
  * when shards < 2 or n < 2 (solo).
  */
-PatchPlan planPatchPlan(const AnalysisConfig &cfg, const RecordSpans &spans,
-                        size_t n, unsigned shards);
-
-/** planPatchPlan() over the contiguous @p records[0, n). */
 PatchPlan planPatchPlan(const AnalysisConfig &cfg,
                         const trace::TraceRecord *records, size_t n,
                         unsigned shards);
@@ -189,19 +169,13 @@ struct SegmentRun
 };
 
 /**
- * Analyze records [lo, hi) of @p spans as one shard segment under @p cfg
- * (segment instruction caps are ignored: the caller slices exact spans).
+ * Analyze @p records[0, n) as one shard segment under @p cfg (segment
+ * instruction caps are ignored: the caller slices exact spans).
  * Runs on the calling thread; segments are independent, so callers
  * parallelize by invoking this from one thread per segment. For modeled
  * predictors pass the plan's bitvector and the segment's branchBase so the
  * segment consumes the precomputed, cut-invariant outcomes.
  */
-void runSegment(const AnalysisConfig &cfg, const RecordSpans &spans,
-                size_t lo, size_t hi, SegmentRun &out,
-                const MispredictBits *bits = nullptr,
-                uint64_t branch_base = 0);
-
-/** runSegment() over the contiguous @p records[0, n). */
 void runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
                 size_t n, SegmentRun &out,
                 const MispredictBits *bits = nullptr,
@@ -216,7 +190,7 @@ struct PatchOutcome
 
 /**
  * Re-feed segment @p seg's records into @p engine (which is mid-run via
- * resumeSpan): processAll() over the segment's exact record span(s).
+ * resumeSpan): processAll() over the segment's exact record span.
  */
 using SegmentFeed = std::function<void(Paragraph &engine, size_t seg)>;
 

@@ -14,7 +14,6 @@
 #include "core/cancel_token.hpp"
 #include "core/multi.hpp"
 #include "core/shard.hpp"
-#include "trace/shared_decode.hpp"
 
 namespace paragraph {
 namespace engine {
@@ -68,71 +67,29 @@ runSegmentsParallel(size_t nSegments, unsigned shards, const RunOne &runOne)
 }
 
 /**
- * Records [lo, hi) of a pooled input as block slices off the shared decode
- * pool; block waits (decode or contention) add to *wait.
- */
-core::RecordSpans
-poolSpans(trace::SharedDecodePool &pool, double *wait)
-{
-    return [&pool, wait](size_t lo, size_t hi,
-                         const core::ChunkVisitor &visit) {
-        const size_t blockRecords = pool.blockRecords();
-        while (lo < hi) {
-            const size_t b = lo / blockRecords;
-            auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const trace::DecodedBlock> blk = pool.block(b);
-            *wait += secondsSince(t0);
-            const size_t off = lo - b * blockRecords;
-            const size_t len = std::min(hi - lo, blk->records.size() - off);
-            visit(blk->records.data() + off, len);
-            lo += len;
-        }
-    };
-}
-
-/** A cell's trace as a span source whose chunk waits add to *wait. */
-using TimedSpans = std::function<core::RecordSpans(double *wait)>;
-
-/**
- * Split-and-patch sharded analysis of a cell's trace (clamped to
- * maxInstructions) over the input's random-access form: the capture as one
- * chunk, or a pooled `.ptrc` as block slices off the shared decode pool.
- * Plan cuts (core::planPatchPlan), run the segments on up to @p shards
- * threads, each engine thread-private, and patch the exact solo-equivalent
- * result, replaying failed splices from the same spans (core/shard.hpp).
- * Only decode on the critical path counts into decodeSeconds: the plan
- * scan's waits, the largest segment's waits and the replay's waits.
- * Returns false — leaving the result untouched — when the input has no
- * random-access form (any other streamed file) or the plan has no cuts;
- * the caller then runs the unsharded pass. Throws what a segment run
- * throws (CancelledError included), for the caller's attempts loop.
+ * Split-and-patch sharded analysis of a captured cell's trace (clamped to
+ * maxInstructions): plan cuts (core::planPatchPlan), run the segments on up
+ * to @p shards threads, each engine thread-private, and patch the exact
+ * solo-equivalent result, replaying failed splices from the capture
+ * (core/shard.hpp). The capture is resident, so decodeSeconds stays 0.
+ * Returns false — leaving the result untouched — for a streamed input or
+ * when the plan has no cuts; the caller then runs the unsharded pass.
+ * Throws what a segment run throws (CancelledError included), for the
+ * caller's attempts loop.
  */
 bool
 analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
                unsigned shards, SweepCell &cell)
 {
-    std::shared_ptr<const trace::TraceBuffer> buffer;
-    std::shared_ptr<trace::SharedDecodePool> pool;
-    TimedSpans spans;
-    uint64_t records = 0;
-    if (!repo.streamingInput(cell.job.input)) {
-        buffer = repo.get(cell.job.input);
-        const trace::TraceRecord *data = buffer->records().data();
-        spans = [data](double *) { return core::contiguousSpans(data); };
-        records = buffer->size();
-    } else if ((pool = repo.decodePool(cell.job.input))) {
-        spans = [&pool](double *wait) { return poolSpans(*pool, wait); };
-        records = pool->recordCount();
-    } else {
+    if (repo.streamingInput(cell.job.input))
         return false;
-    }
-    if (cfg.maxInstructions && cfg.maxInstructions < records)
-        records = cfg.maxInstructions;
-    const size_t n = static_cast<size_t>(records);
-    double planWait = 0.0;
-    core::PatchPlan plan =
-        core::planPatchPlan(cfg, spans(&planWait), n, shards);
-    cell.decodeSeconds += planWait;
+    std::shared_ptr<const trace::TraceBuffer> buffer =
+        repo.get(cell.job.input);
+    const trace::TraceRecord *records = buffer->records().data();
+    size_t n = buffer->size();
+    if (cfg.maxInstructions && cfg.maxInstructions < n)
+        n = static_cast<size_t>(cfg.maxInstructions);
+    core::PatchPlan plan = core::planPatchPlan(cfg, records, n, shards);
     if (plan.cuts.empty())
         return false;
 
@@ -144,31 +101,23 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
         cfg.branchPredictor != core::PredictorKind::Perfect;
 
     std::vector<core::SegmentRun> segments(nSegments);
-    std::vector<double> segWait(nSegments, 0.0);
     std::exception_ptr firstError =
         runSegmentsParallel(nSegments, shards, [&](size_t s) {
-            core::runSegment(cfg, spans(&segWait[s]), bounds[s],
-                             bounds[s + 1], segments[s],
+            core::runSegment(cfg, records + bounds[s],
+                             bounds[s + 1] - bounds[s], segments[s],
                              modeled ? &plan.bits : nullptr,
                              modeled ? plan.branchBase[s] : 0);
         });
-    cell.decodeSeconds += *std::max_element(segWait.begin(), segWait.end());
     if (firstError)
         std::rethrow_exception(firstError);
 
-    double replayWait = 0.0;
-    const core::RecordSpans replaySpans = spans(&replayWait);
     auto replay = [&](core::Paragraph &engine, size_t s) {
-        replaySpans(bounds[s], bounds[s + 1],
-                    [&](const trace::TraceRecord *chunk, size_t len) {
-                        engine.processAll(chunk, len);
-                    });
+        engine.processAll(records + bounds[s], bounds[s + 1] - bounds[s]);
     };
     core::PatchOutcome outcome;
     cell.result = core::patchSegments(
         cfg, segments, replay, modeled ? &plan.bits : nullptr,
         modeled ? &plan.branchBase : nullptr, &outcome);
-    cell.decodeSeconds += replayWait;
     cell.shardSegments = static_cast<unsigned>(nSegments);
     cell.shardSpliced = outcome.spliced;
     cell.shardReplayed = outcome.replayed;
@@ -213,7 +162,7 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
                     core::analyzeManyGuarded(*repo.blocks(cell.job.input),
                                              {cfg})
                         .front());
-                cell.decodeSeconds += out.decodeSeconds;
+                cell.decodeSeconds = out.decodeSeconds;
                 if (out.error)
                     std::rethrow_exception(out.error);
                 cell.result = std::move(out.result);
@@ -279,8 +228,11 @@ runFusedCells(TraceRepository &repo,
             cell.status = SweepCell::Status::Ok;
             cell.errorMessage.clear();
             cell.attempts = 1;
-            cell.wallSeconds = outcomes[k].engineSeconds;
+            // The cell's engine time plus its share of the pass's block
+            // wait: a group's walls add up to its pass.
             cell.decodeSeconds = outcomes[k].decodeSeconds;
+            cell.wallSeconds =
+                outcomes[k].engineSeconds + cell.decodeSeconds;
             cell.shardSegments = 0;
             cell.shardSpliced = 0;
             cell.shardReplayed = 0;

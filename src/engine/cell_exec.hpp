@@ -15,15 +15,16 @@
  *
  * Every unsharded cell, solo or fused, runs core::analyzeManyGuarded's
  * one block-fed loop over TraceRepository::blocks(): a solo cell is a
- * fused pass of one, and its decodeSeconds is that pass's wait on its
- * block source whatever the input kind.
+ * fused pass of one. A cell's decodeSeconds is its share of that pass's
+ * wait on its block source, and its wallSeconds is its engine time plus
+ * that share, so a fused group's walls add up to its pass.
  *
- * A sharded solo cell runs one driver whatever its input kind: the cell's
- * trace becomes a core::RecordSpans source — the capture as one chunk, or
- * a pooled `.ptrc` as block slices off the shared decode pool — and the
- * driver plans with core::planPatchPlan, runs the segments in parallel and
- * patches them with core::patchSegments, replaying from the same spans.
- * Other streamed inputs have no random access and run unsharded.
+ * Only a captured input shards: the sharded solo cell plans cuts over the
+ * capture with core::planPatchPlan, runs the segments in parallel and
+ * patches them with core::patchSegments, replaying from the capture.
+ * Streamed `.ptrc` and `.ptrz` cells always run unsharded: split-and-patch
+ * over decoded blocks scaled far worse than over a capture, and often lost
+ * to the one unsharded pass.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP
@@ -48,13 +49,14 @@ struct CellExecOptions
     /** Per-attempt cooperative deadline in seconds; 0 = none. */
     double cellDeadlineSeconds = 0.0;
 
-    /** Split a solo cell's trace into up to this many independently-
-     *  analyzed segments, run on that many threads and patched into the
-     *  exact solo result (core/shard.hpp split-and-patch). Applies to
-     *  every config — cuts are planned at stall syscalls and mispredicted
-     *  branches (plain tiles when the trace offers neither), and each
-     *  boundary is validated and spliced, or replayed sequentially when
-     *  its splice conditions fail. 1 = off. */
+    /** Split a solo cell's captured trace into up to this many
+     *  independently-analyzed segments, run on that many threads and
+     *  patched into the exact solo result (core/shard.hpp
+     *  split-and-patch). Applies to every config — cuts are planned at
+     *  stall syscalls and mispredicted branches (plain tiles when the
+     *  trace offers neither), and each boundary is validated and spliced,
+     *  or replayed sequentially when its splice conditions fail. Streamed
+     *  inputs run unsharded. 1 = off. */
     unsigned shards = 1;
 };
 

@@ -90,11 +90,11 @@ struct SweepCell
 
     /** Of which, seconds spent waiting on the cell's block source
      *  (TraceRepository::blocks()): a private stream's decode, or waits
-     *  on the shared decode pool. A fused cell carries its whole pass's
-     *  wait. A sharded cell counts only the waits on its critical path —
-     *  the plan scan's, the largest segment's and the replay's — so this
-     *  never exceeds wallSeconds. About 0 for captured inputs — their
-     *  capture is paid once, up front, in SweepResult::captureSeconds. */
+     *  on the shared decode pool. A fused cell carries an equal share of
+     *  its pass's wait, and its wallSeconds includes that share, so this
+     *  never exceeds wallSeconds. About 0 for captured inputs, sharded or
+     *  not — their capture is paid once, up front, in
+     *  SweepResult::captureSeconds. */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */
@@ -188,11 +188,12 @@ class SweepEngine
          *  0 = no deadline. */
         double cellDeadlineSeconds = 0.0;
 
-        /** Split each solo cell's trace into up to this many segments
-         *  analyzed on that many threads and patched into the exact solo
-         *  result (core/shard.hpp split-and-patch): how ONE trace × ONE
-         *  config uses more than one core. Applies to every config, over
-         *  pooled `.ptrc` inputs and shared captures alike; 1 = off. */
+        /** Split each solo cell's captured trace into up to this many
+         *  segments analyzed on that many threads and patched into the
+         *  exact solo result (core/shard.hpp split-and-patch): how ONE
+         *  trace × ONE config uses more than one core. Applies to every
+         *  config over a shared capture; streamed `.ptrc`/`.ptrz` cells
+         *  run unsharded. 1 = off. */
         unsigned shards = 1;
 
         /** Result store (engine/result_store.hpp) to resolve cells

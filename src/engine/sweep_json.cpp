@@ -160,8 +160,6 @@ writeCell(std::ostream &os, const SweepCell &cell,
            << ", \"minstr_per_sec\": " << jsonDouble(cell.minstrPerSec);
         if (opt.stats) {
             double analyze = cell.wallSeconds - cell.decodeSeconds;
-            if (analyze < 0.0) // shard threads decode concurrently
-                analyze = 0.0;
             os << ",\n        \"decode_seconds\": "
                << jsonDouble(cell.decodeSeconds)
                << ", \"analyze_seconds\": " << jsonDouble(analyze)

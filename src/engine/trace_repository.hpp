@@ -20,7 +20,8 @@
  *    mapped): a private trace::BlockPipeline over a freshly opened reader,
  *    capped at Options::maxRecords like a capture.
  * Only the sharded path (engine/cell_exec) needs random access, so it alone
- * reads records through get() or decodePool() directly.
+ * reads a capture's records through get() directly; it never shards a
+ * streamed input.
  *
  * Long-running holders (the paragraph-serve daemon keeps one repository
  * alive across every client's sweeps) bound the resident set with
@@ -167,10 +168,11 @@ class TraceRepository
 
     /**
      * The shared decode pool for a streamed `.ptrc` input: every consumer
-     * (fused group, solo cell, shard segment, serve client) of the same
-     * input shares one mmap and decodes each block exactly once between
-     * them. Returns nullptr when @p spec is not a streamed `.ptrc` (or
-     * cannot be mapped) — blocks() then opens a private pipeline.
+     * (fused group, solo cell, serve client) of the same input shares one
+     * mmap and decodes each block exactly once between them. Sharded cells
+     * never read it: a streamed input runs unsharded. Returns nullptr when
+     * @p spec is not a streamed `.ptrc` (or cannot be mapped) — blocks()
+     * then opens a private pipeline.
      * Thread-safe; the pool is cached for the repository's lifetime and
      * its block cache counts toward the byte budget via trim().
      */

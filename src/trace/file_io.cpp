@@ -55,6 +55,47 @@ traceHeaderCrc(const TraceFileHeader &hdr)
     return crc32Of(&hdr, offsetof(TraceFileHeader, headerCrc));
 }
 
+void
+validateTraceHeader(const TraceFileHeader &hdr, const std::string &path)
+{
+    if (hdr.magic != traceFileMagic)
+        PARA_FATAL("bad trace file magic in %s", path.c_str());
+    if (hdr.version < 1 || hdr.version > traceFileVersion)
+        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
+                   path.c_str());
+    if (hdr.version >= 2) {
+        uint32_t expect = traceHeaderCrc(hdr);
+        if (hdr.headerCrc != expect) {
+            PARA_FATAL("trace file header checksum mismatch in %s "
+                       "(stored %08x, computed %08x); header is corrupt",
+                       path.c_str(), hdr.headerCrc, expect);
+        }
+    } else {
+        PARA_WARN("trace file %s is format v1: no checksums, integrity "
+                  "cannot be verified",
+                  path.c_str());
+    }
+}
+
+void
+throwPayloadCrcMismatch(const std::string &path, uint32_t stored,
+                        uint32_t computed, uint64_t count)
+{
+    PARA_FATAL("trace file payload checksum mismatch in %s "
+               "(stored %08x, computed %08x over %llu records); "
+               "trace is corrupt",
+               path.c_str(), stored, computed,
+               static_cast<unsigned long long>(count));
+}
+
+void
+throwTraceTruncated(const std::string &path, uint64_t index)
+{
+    PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
+               path.c_str(), static_cast<unsigned long long>(index),
+               static_cast<unsigned long long>(recordOffset(index)));
+}
+
 PackedRecord
 packRecord(const TraceRecord &rec)
 {
@@ -206,30 +247,12 @@ TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
         file_ = nullptr;
         PARA_FATAL("trace file too short: %s", path.c_str());
     }
-    if (hdr.magic != traceFileMagic) {
+    try {
+        validateTraceHeader(hdr, path);
+    } catch (...) {
         std::fclose(file_);
         file_ = nullptr;
-        PARA_FATAL("bad trace file magic in %s", path.c_str());
-    }
-    if (hdr.version < 1 || hdr.version > traceFileVersion) {
-        std::fclose(file_);
-        file_ = nullptr;
-        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
-                   path.c_str());
-    }
-    if (hdr.version >= 2) {
-        uint32_t expect = traceHeaderCrc(hdr);
-        if (hdr.headerCrc != expect) {
-            std::fclose(file_);
-            file_ = nullptr;
-            PARA_FATAL("trace file header checksum mismatch in %s "
-                       "(stored %08x, computed %08x); header is corrupt",
-                       path.c_str(), hdr.headerCrc, expect);
-        }
-    } else {
-        PARA_WARN("trace file %s is format v1: no checksums, integrity "
-                  "cannot be verified",
-                  path.c_str());
+        throw;
     }
     version_ = hdr.version;
     count_ = hdr.count;
@@ -249,11 +272,8 @@ TraceFileReader::next(TraceRecord &rec)
         return false;
     PackedRecord p;
     if (PARA_FAILPOINT("trace.file.read") ||
-        std::fread(&p, sizeof(p), 1, file_) != 1) {
-        PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
-                   path_.c_str(), static_cast<unsigned long long>(pos_),
-                   static_cast<unsigned long long>(recordOffset(pos_)));
-    }
+        std::fread(&p, sizeof(p), 1, file_) != 1)
+        throwTraceTruncated(path_, pos_);
     try {
         rec = unpackRecord(p);
     } catch (const FatalError &e) {
@@ -265,13 +285,9 @@ TraceFileReader::next(TraceRecord &rec)
         runningCrc_ = crc32Update(runningCrc_, &p, sizeof(p));
     ++pos_;
     if (version_ >= 2 && pos_ == count_ &&
-        runningCrc_ != expectedPayloadCrc_) {
-        PARA_FATAL("trace file payload checksum mismatch in %s "
-                   "(stored %08x, computed %08x over %llu records); "
-                   "trace is corrupt",
-                   path_.c_str(), expectedPayloadCrc_, runningCrc_,
-                   static_cast<unsigned long long>(count_));
-    }
+        runningCrc_ != expectedPayloadCrc_)
+        throwPayloadCrcMismatch(path_, expectedPayloadCrc_, runningCrc_,
+                                count_);
     return true;
 }
 

@@ -65,6 +65,24 @@ static_assert(sizeof(TraceFileHeader) == 24, "header layout is on disk");
 /** CRC-32 of a header's first 20 bytes (everything before headerCrc). */
 uint32_t traceHeaderCrc(const TraceFileHeader &hdr);
 
+/**
+ * The one `.ptrc` header check, shared by TraceFileReader and
+ * MmapTraceFile: throws FatalError naming @p path on a bad magic, an
+ * unsupported version or (v2) a header-CRC mismatch, and warns that a v1
+ * file carries no checksums.
+ */
+void validateTraceHeader(const TraceFileHeader &hdr, const std::string &path);
+
+/** Throw the payload-checksum-mismatch FatalError for @p path: @p computed
+ *  over @p count records differs from the header's @p stored CRC. */
+[[noreturn]] void throwPayloadCrcMismatch(const std::string &path,
+                                          uint32_t stored, uint32_t computed,
+                                          uint64_t count);
+
+/** Throw the truncation FatalError for record @p index of @p path. */
+[[noreturn]] void throwTraceTruncated(const std::string &path,
+                                      uint64_t index);
+
 /** Streaming trace file writer. */
 class TraceFileWriter
 {

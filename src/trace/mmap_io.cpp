@@ -15,24 +15,6 @@
 namespace paragraph {
 namespace trace {
 
-namespace {
-
-uint64_t
-recordOffset(uint64_t index)
-{
-    return sizeof(TraceFileHeader) + index * sizeof(PackedRecord);
-}
-
-[[noreturn]] void
-throwTruncated(const std::string &path, uint64_t index)
-{
-    PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
-               path.c_str(), static_cast<unsigned long long>(index),
-               static_cast<unsigned long long>(recordOffset(index)));
-}
-
-} // namespace
-
 MmapTraceFile::MmapTraceFile(const std::string &path)
 {
     open(path, /*throwOnMapFailure=*/true);
@@ -86,23 +68,7 @@ MmapTraceFile::open(const std::string &path, bool throwOnMapFailure)
 
     TraceFileHeader hdr;
     std::memcpy(&hdr, map_, sizeof(hdr));
-    if (hdr.magic != traceFileMagic)
-        PARA_FATAL("bad trace file magic in %s", path.c_str());
-    if (hdr.version < 1 || hdr.version > traceFileVersion)
-        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
-                   path.c_str());
-    if (hdr.version >= 2) {
-        uint32_t expect = traceHeaderCrc(hdr);
-        if (hdr.headerCrc != expect) {
-            PARA_FATAL("trace file header checksum mismatch in %s "
-                       "(stored %08x, computed %08x); header is corrupt",
-                       path.c_str(), hdr.headerCrc, expect);
-        }
-    } else {
-        PARA_WARN("trace file %s is format v1: no checksums, integrity "
-                  "cannot be verified",
-                  path.c_str());
-    }
+    validateTraceHeader(hdr, path);
     version_ = hdr.version;
     count_ = hdr.count;
     payloadCrc_ = hdr.payloadCrc;
@@ -132,7 +98,7 @@ MmapTraceFile::decode(uint64_t first, size_t n, TraceRecord *out) const
     if (n == 0)
         return;
     if (first + n > avail_)
-        throwTruncated(path_, avail_);
+        throwTraceTruncated(path_, avail_);
     unpackRecords(reinterpret_cast<const PackedRecord *>(
                       payload_ + first * sizeof(PackedRecord)),
                   out, n, path_, first);
@@ -152,17 +118,12 @@ MmapTraceFile::verifyPayload() const
     if (version_ < 2)
         return;
     if (avail_ < count_)
-        throwTruncated(path_, avail_);
+        throwTraceTruncated(path_, avail_);
     uint32_t crc = crcRange(0, count_, 0);
     if (PARA_FAILPOINT("trace.mmap.crc"))
         crc ^= 1; // simulated flipped payload bit
-    if (crc != payloadCrc_) {
-        PARA_FATAL("trace file payload checksum mismatch in %s "
-                   "(stored %08x, computed %08x over %llu records); "
-                   "trace is corrupt",
-                   path_.c_str(), payloadCrc_, crc,
-                   static_cast<unsigned long long>(count_));
-    }
+    if (crc != payloadCrc_)
+        throwPayloadCrcMismatch(path_, payloadCrc_, crc, count_);
 }
 
 bool
@@ -185,13 +146,9 @@ MmapTraceSource::nextBatch(TraceRecord *out, size_t max)
         runningCrc_ = file_->crcRange(pos_, n, runningCrc_);
     pos_ += n;
     if (file_->formatVersion() >= 2 && pos_ == count &&
-        runningCrc_ != file_->storedPayloadCrc()) {
-        PARA_FATAL("trace file payload checksum mismatch in %s "
-                   "(stored %08x, computed %08x over %llu records); "
-                   "trace is corrupt",
-                   file_->path().c_str(), file_->storedPayloadCrc(),
-                   runningCrc_, static_cast<unsigned long long>(count));
-    }
+        runningCrc_ != file_->storedPayloadCrc())
+        throwPayloadCrcMismatch(file_->path(), file_->storedPayloadCrc(),
+                                runningCrc_, count);
     return n;
 }
 

@@ -19,8 +19,8 @@
  *
  * Integrity: the pool verifies the v2 payload CRC over the mapped bytes
  * once at construction — eager, unlike the sequential reader's check at
- * end-of-stream, because random-access consumers may legitimately never
- * read the final block. The error text matches TraceFileReader's.
+ * end-of-stream, because a pass that stops early (every engine capped)
+ * never reads the final block. The error text matches TraceFileReader's.
  */
 
 #ifndef PARAGRAPH_TRACE_SHARED_DECODE_HPP
@@ -75,7 +75,6 @@ class SharedDecodePool
     /** Records served (header count clipped by Options::maxRecords). */
     uint64_t recordCount() const { return count_; }
 
-    size_t blockRecords() const { return opt_.blockRecords; }
     size_t blockCount() const;
     const MmapTraceFile &file() const { return *file_; }
     std::string name() const { return file_->path(); }

@@ -2,6 +2,9 @@
 // analysis).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/cancel_token.hpp"
 #include "core/multi.hpp"
 #include "tests/core/trace_helpers.hpp"
@@ -248,6 +251,44 @@ TEST(AnalyzeMany, GuardedPassContainsCancellationToItsOwnSlot)
         Paragraph(healthy).analyze(buf);
     expectIdenticalResults(outcomes[0].result, alone);
     expectIdenticalResults(outcomes[2].result, alone);
+}
+
+TEST(AnalyzeMany, DecodeSharesSumToThePassWait)
+{
+    // The fused pass waits on its block source once for every config, so
+    // each outcome carries an equal share of that wait: the shares sum to
+    // no more than the call's wall time, however many configs ride along.
+    struct SlowBlocks : trace::BlockSource
+    {
+        TraceBuffer buf = randomTrace(23, 4000);
+        size_t pos = 0;
+
+        size_t
+        next(const TraceRecord **records) override
+        {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            const size_t n = std::min<size_t>(500, buf.size() - pos);
+            *records = buf.records().data() + pos;
+            pos += n;
+            return n;
+        }
+    } blocks;
+    const std::vector<AnalysisConfig> configs(
+        4, AnalysisConfig::dataflowConservative());
+
+    auto t0 = std::chrono::steady_clock::now();
+    auto outcomes = analyzeManyGuarded(blocks, configs);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    ASSERT_EQ(outcomes.size(), configs.size());
+    double decode = 0.0;
+    for (const MultiOutcome &o : outcomes) {
+        EXPECT_FALSE(o.error);
+        EXPECT_GT(o.decodeSeconds, 0.0);
+        decode += o.decodeSeconds;
+    }
+    EXPECT_LE(decode, wall);
 }
 
 TEST(AnalyzeMany, WorkloadWindowSweepMatchesSoloRuns)

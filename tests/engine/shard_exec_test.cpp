@@ -1,10 +1,11 @@
-// Engine-level split-and-patch sharding: a `.ptrc` cell run with --shard=N
-// must render the byte-identical JSON document of the unsharded run for
-// EVERY config — the splice/replay equivalence proved record-by-record in
-// tests/core/shard_test.cpp, here end-to-end through both record-span
-// sources (TraceRepository's shared decode pool and a captured buffer),
-// the sweep scheduler, and the JSON writer. Plus the CLI surface: --shard
-// / --stats argument parsing and the --stats timing fields.
+// Engine-level split-and-patch sharding: a captured `.ptrc` cell run with
+// --shard=N must render the byte-identical JSON document of the unsharded
+// run for EVERY config — the splice/replay equivalence proved
+// record-by-record in tests/core/shard_test.cpp, here end-to-end through
+// TraceRepository's captured buffer, the sweep scheduler, and the JSON
+// writer. Streamed inputs (a pooled `.ptrc`, a `.ptrz`) never shard. Plus
+// the CLI surface: --shard / --stats argument parsing and the --stats
+// timing fields.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
 #include "trace/buffer.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
 #include "../core/trace_helpers.hpp"
@@ -26,9 +28,6 @@ using namespace paragraph;
 using namespace paragraph::engine;
 
 namespace {
-
-/** Both repository kinds: streamed off the shared decode pool, captured. */
-constexpr bool kStreamFiles[] = {true, false};
 
 /** A syscall-bearing random trace persisted as a `.ptrc` file. */
 class ShardExec : public ::testing::Test
@@ -56,12 +55,12 @@ class ShardExec : public ::testing::Test
 
     void TearDown() override { std::remove(path_.c_str()); }
 
-    /** One sweep over the file, streamed (@p streamFiles) or captured;
-     *  returns its no-timing document. */
+    /** One sweep over @p path (default: the fixture's `.ptrc`), streamed
+     *  (@p streamFiles) or captured; returns its no-timing document. */
     std::string
     runSweep(bool streamFiles, unsigned shards,
              const std::vector<core::AnalysisConfig> &cfgs,
-             SweepResult *outResult = nullptr)
+             SweepResult *outResult = nullptr, std::string path = {})
     {
         TraceRepository::Options repoOpt;
         repoOpt.streamFiles = streamFiles;
@@ -72,7 +71,8 @@ class ShardExec : public ::testing::Test
         opt.groupSize = 1;
         opt.shards = shards;
         SweepEngine sweeper(opt);
-        SweepResult result = sweeper.run(repo, {path_}, cfgs);
+        SweepResult result =
+            sweeper.run(repo, {path.empty() ? path_ : path}, cfgs);
 
         SweepJsonOptions json;
         json.timing = false;
@@ -95,24 +95,21 @@ TEST_F(ShardExec, ShardedSweepIsByteIdenticalToSolo)
     core::AnalysisConfig plain; // no renaming defaults, still shardable
     cfgs.push_back(plain);
 
-    for (bool streamFiles : kStreamFiles) {
-        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
-        SweepResult sharded;
-        std::string solo = runSweep(streamFiles, 1, cfgs);
-        std::string split = runSweep(streamFiles, 4, cfgs, &sharded);
-        EXPECT_EQ(solo, split);
+    SweepResult sharded;
+    std::string solo = runSweep(false, 1, cfgs);
+    std::string split = runSweep(false, 4, cfgs, &sharded);
+    EXPECT_EQ(solo, split);
 
-        // And the sharded run really did shard: a 1%-syscall 20K trace has
-        // hundreds of firewall candidates, so every cell splits. Every
-        // config here stalls with perfect prediction, so every cut is a
-        // total firewall and every segment splices.
-        ASSERT_EQ(sharded.cells.size(), cfgs.size());
-        for (const SweepCell &cell : sharded.cells) {
-            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-            EXPECT_GE(cell.shardSegments, 2u);
-            EXPECT_LE(cell.shardSegments, 4u);
-            EXPECT_EQ(cell.shardReplayed, 0u);
-        }
+    // And the sharded run really did shard: a 1%-syscall 20K trace has
+    // hundreds of firewall candidates, so every cell splits. Every config
+    // here stalls with perfect prediction, so every cut is a total
+    // firewall and every segment splices.
+    ASSERT_EQ(sharded.cells.size(), cfgs.size());
+    for (const SweepCell &cell : sharded.cells) {
+        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_GE(cell.shardSegments, 2u);
+        EXPECT_LE(cell.shardSegments, 4u);
+        EXPECT_EQ(cell.shardReplayed, 0u);
     }
 }
 
@@ -132,20 +129,17 @@ TEST_F(ShardExec, FormerlyGatedConfigsShardByteIdentically)
     fu.totalFuLimit = 2;
     cfgs.push_back(fu);
 
-    for (bool streamFiles : kStreamFiles) {
-        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
-        SweepResult sharded;
-        std::string solo = runSweep(streamFiles, 1, cfgs);
-        std::string split = runSweep(streamFiles, 4, cfgs, &sharded);
-        EXPECT_EQ(solo, split);
-        ASSERT_EQ(sharded.cells.size(), cfgs.size());
-        for (const SweepCell &cell : sharded.cells) {
-            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-            EXPECT_GE(cell.shardSegments, 2u);
-            EXPECT_LE(cell.shardSegments, 4u);
-            EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
-                      cell.shardSegments);
-        }
+    SweepResult sharded;
+    std::string solo = runSweep(false, 1, cfgs);
+    std::string split = runSweep(false, 4, cfgs, &sharded);
+    EXPECT_EQ(solo, split);
+    ASSERT_EQ(sharded.cells.size(), cfgs.size());
+    for (const SweepCell &cell : sharded.cells) {
+        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_GE(cell.shardSegments, 2u);
+        EXPECT_LE(cell.shardSegments, 4u);
+        EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
+                  cell.shardSegments);
     }
 }
 
@@ -157,42 +151,49 @@ TEST_F(ShardExec, MoreShardsThanSegmentsClampAndStayExact)
     bimodal.branchPredictor = core::PredictorKind::Bimodal;
     cfgs.push_back(bimodal);
 
-    for (bool streamFiles : kStreamFiles) {
-        SCOPED_TRACE(streamFiles ? "pooled" : "captured");
-        SweepResult sharded;
-        std::string solo = runSweep(streamFiles, 1, cfgs);
-        std::string split = runSweep(streamFiles, 64, cfgs, &sharded);
-        EXPECT_EQ(solo, split);
-        for (const SweepCell &cell : sharded.cells) {
-            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-            EXPECT_GE(cell.shardSegments, 2u);
-            EXPECT_LE(cell.shardSegments, 64u);
-        }
+    SweepResult sharded;
+    std::string solo = runSweep(false, 1, cfgs);
+    std::string split = runSweep(false, 64, cfgs, &sharded);
+    EXPECT_EQ(solo, split);
+    for (const SweepCell &cell : sharded.cells) {
+        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_GE(cell.shardSegments, 2u);
+        EXPECT_LE(cell.shardSegments, 64u);
     }
 }
 
-TEST_F(ShardExec, PooledDecodeSecondsStayWithinWallTime)
+TEST_F(ShardExec, StreamedCellsRunUnsharded)
 {
-    // A sharded cell counts only the decode on its critical path (plan
-    // scan, slowest segment, replay), never the waits summed across shard
-    // threads, so its decode share fits inside its wall time.
+    // A streamed input — a `.ptrc` read off the shared decode pool, or a
+    // `.ptrz` — never shards: --shard=4 takes the same unsharded pass as
+    // --shard=1, so no cell reports segments and the documents match.
+    const std::string ptrz = path_ + ".ptrz";
+    {
+        trace::TraceFileReader reader(path_);
+        trace::CompressedTraceWriter writer(ptrz);
+        writer.writeAll(reader);
+        writer.close();
+    }
     std::vector<core::AnalysisConfig> cfgs;
     cfgs.push_back(core::AnalysisConfig::dataflowConservative());
     core::AnalysisConfig bimodal = cfgs[0];
     bimodal.branchPredictor = core::PredictorKind::Bimodal;
     cfgs.push_back(bimodal);
-    core::AnalysisConfig nostall = cfgs[0];
-    nostall.sysCallsStall = false;
-    cfgs.push_back(nostall);
 
-    SweepResult sharded;
-    runSweep(/*streamFiles=*/true, 4, cfgs, &sharded);
-    ASSERT_EQ(sharded.cells.size(), cfgs.size());
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.decodeSeconds, cell.wallSeconds);
+    for (const std::string &path : {path_, ptrz}) {
+        SCOPED_TRACE(path);
+        SweepResult sharded;
+        std::string solo = runSweep(true, 1, cfgs, nullptr, path);
+        std::string split = runSweep(true, 4, cfgs, &sharded, path);
+        EXPECT_EQ(solo, split);
+        ASSERT_EQ(sharded.cells.size(), cfgs.size());
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_EQ(cell.shardSegments, 0u);
+            EXPECT_LE(cell.decodeSeconds, cell.wallSeconds);
+        }
     }
+    std::remove(ptrz.c_str());
 }
 
 TEST_F(ShardExec, StatsEmitDecodeAnalyzeSplitAndSegments)

@@ -367,6 +367,44 @@ TEST(SweepEngine, EveryInputKindAndGroupingMatchesSoloAnalyze)
     fs::remove_all(dir);
 }
 
+TEST(SweepEngine, FusedStreamedCellsKeepDecodeWithinWall)
+{
+    // The four cells of one fused `.ptrz` pass share its block wait: each
+    // carries an equal share, and its wall time includes that share, so no
+    // cell reports more decode than wall time.
+    const std::string ptrz = (std::filesystem::temp_directory_path() /
+                              "sweep_fused_decode.ptrz")
+                                 .string();
+    {
+        TraceRepository seed(smallScale());
+        trace::SharedBufferSource packed(seed.get("xlisp"), "xlisp");
+        trace::CompressedTraceWriter zwriter(ptrz);
+        zwriter.writeAll(packed);
+        zwriter.close();
+    }
+    TraceRepository::Options ro = smallScale();
+    ro.streamFiles = true;
+    TraceRepository repo(ro);
+    SweepEngine::Options opt;
+    opt.jobs = 1;
+    opt.groupSize = 4;
+    SweepResult sweep = SweepEngine(opt).run(
+        repo, {ptrz},
+        {core::AnalysisConfig::windowed(16), core::AnalysisConfig::windowed(64),
+         core::AnalysisConfig::windowed(256),
+         core::AnalysisConfig::dataflowConservative()});
+    std::remove(ptrz.c_str());
+
+    EXPECT_EQ(sweep.fusedGroups, 1u);
+    ASSERT_EQ(sweep.cells.size(), 4u);
+    for (const SweepCell &cell : sweep.cells) {
+        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_GT(cell.decodeSeconds, 0.0);
+        EXPECT_LE(cell.decodeSeconds, cell.wallSeconds)
+            << cell.job.configLabel;
+    }
+}
+
 TEST(SweepEngine, AutoGroupRespectsDecoderCapOnGatedStreams)
 {
     // Auto grouping (--group=0) over a decode-gated stream (`.ptrz`: one

@@ -8,7 +8,8 @@
 #   asan-ubsan       PARAGRAPH_SANITIZE=address,undefined  ctest -L engine,
 #                    then the core and trace suites the engine runs on but
 #                    that carry no engine label — the shard planner and
-#                    patch walk, the fused loop, the block pipeline and the
+#                    patch walk, the fused loop, the block pipeline, the
+#                    shared decode pool behind pooled cells and the
 #                    hot-path equivalence suite:
 #                    ctest -R "$core_suites" (below)
 #   tsan             PARAGRAPH_SANITIZE=thread             ctest -L engine,
@@ -24,7 +25,7 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
-core_suites='^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch|AnalyzeMany|BlockPipeline|HotPathEquivalence)\.'
+core_suites='^(ShardPlan|ShardStitch|PatchPlan|SplitAndPatch|AnalyzeMany|BlockPipeline|SharedDecode|HotPathEquivalence)\.'
 
 all_legs=(debug release relwithdebinfo asan-ubsan tsan bench-selftest)
 legs=("$@")

@@ -36,15 +36,15 @@
 //                          mmapped into a shared decode pool (each block
 //                          decoded once across all workers), fused groups
 //                          pay one decode for the whole group
-//   --shard=N              split each solo cell (captured or pooled
-//                          .ptrc stream) into up to N trace segments
-//                          analyzed on N threads and patched into the
-//                          exact single-threaded result — how ONE trace x
-//                          ONE config uses more than one core; works for
-//                          every config (firewall cuts under
-//                          --syscalls=stall + perfect prediction,
-//                          validate-or-replay split-and-patch otherwise;
-//                          .ptrz cells run solo)
+//   --shard=N              split each solo cell of a captured input into
+//                          up to N trace segments analyzed on N threads
+//                          and patched into the exact single-threaded
+//                          result — how ONE trace x ONE config uses more
+//                          than one core; works for every config
+//                          (firewall cuts under --syscalls=stall + perfect
+//                          prediction, validate-or-replay split-and-patch
+//                          otherwise; streamed .ptrc/.ptrz cells run
+//                          unsharded)
 //   --max=N                analyze at most N instructions per cell
 //                          (also caps the shared trace capture)
 //   --out=FILE             write the JSON document to FILE
